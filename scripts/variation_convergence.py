@@ -11,12 +11,7 @@ import argparse
 import csv
 import sys
 
-from freelevy.rmt import (
-    SimConfig,
-    finite_n_power_sum_moments,
-    predicted_variation_moments,
-    verify_variation,
-)
+from freelevy.rmt import SimConfig, predicted_variation_moments, verify_variation
 
 
 def main(argv=None):
@@ -36,7 +31,7 @@ def main(argv=None):
             t=1.0, lam=1.0, jump=[[1.0, 1.0]],
         )
         report = verify_variation(cfg, args.k, threads=args.threads)
-        finite = finite_n_power_sum_moments(cfg, args.k, cfg.k_max)
+        finite = report.extras["finite_n_reference"]
         limit = predicted_variation_moments(cfg, args.k, cfg.k_max)
         proxy = report.extras["proxy_norms"][-1]
         for m, fin, lim in zip(report.moments, finite, limit):

@@ -42,6 +42,7 @@ from .ncsym import (
 )
 from .partitions import Composition, PartitionError, zero_partition
 from .rmt import (
+    CONFIG_EXTRAS,
     SimConfig,
     SimError,
     histogram_csv_lines,
@@ -245,9 +246,13 @@ def cmd_levy(args, manifest) -> int:
 # -- sim ------------------------------------------------------------------------
 
 
-def _load_sim_config(path, manifest):
+def _load_sim_config(path, subcommand, manifest):
     raw = _read_json(path, manifest)
     cfg = SimConfig.from_json(raw)
+    other = set().union(*CONFIG_EXTRAS.values()) - CONFIG_EXTRAS[subcommand]
+    foreign = sorted(set(raw) & other)
+    if foreign:
+        raise SimError(f"config keys not used by sim {subcommand}: {', '.join(foreign)}")
     return cfg, raw
 
 
@@ -269,7 +274,7 @@ def _complex_matrix(data) -> np.ndarray:
 
 
 def cmd_sim(args, manifest) -> int:
-    cfg, raw = _load_sim_config(args.config, manifest)
+    cfg, raw = _load_sim_config(args.config, args.subcommand, manifest)
     out_dir = Path(args.out) if args.out else None
     threads = args.threads or 1
 
@@ -294,8 +299,8 @@ def cmd_sim(args, manifest) -> int:
         b_mat = _complex_matrix(raw["B"])
         a_mats = [np.array(a, dtype=float) for a in raw["A"]]
         x_mats = [
-            sample_gue(cfg.d, stream(cfg.master_seed, 0, "gue_a"))
-            for _ in a_mats
+            sample_gue(cfg.d, stream(cfg.master_seed, i, "gue_a"))
+            for i in range(len(a_mats))
         ]
         out = matricial_cauchy(b_mat, a_mats, x_mats)
         payload = {

@@ -1,22 +1,22 @@
 """Moment/free-cumulant conversions and mixed free cumulants of tuples.
 
-All combinatorial conversions default to exact rational arithmetic: inputs
-given as ints or fractions.Fraction come back exact, so the Mobius sums never
-cancel silently. Floats pass through unchanged when that is what the caller
-supplies.
+The single-variable conversions solve the functional equation
+M(z) = 1 + sum_s kappa_s z^s M(z)^s of the moment series (Nica & Speicher,
+Lectures on the Combinatorics of Free Probability, Lecture 16) order by
+order: m_n = sum_(s<=n) kappa_s [z^(n-s)] M(z)^s. Each order needs only the
+coefficients [z^j] M(z)^s with s + j <= n, so n orders cost O(n^3)
+arithmetic operations and there is no bound on n.
 
-The single-variable conversions share one convention: Mob(pi) means the
-Mobius function Mob(pi, 1_n) of NC(n), which makes the two directions exact
-two-sided inverses of each other.
+Mixed cumulants of words stay Mobius sums over NC(n), since there the
+partition lattice is the subject. Everything is exact when fed ints or
+fractions.Fraction; floats pass through unchanged when that is what the
+caller supplies.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .partitions import Partition, _mobius_to_top, enumerate_nc
 
-EXACT_CONVERSION_BOUND = 12
 MIXED_WORD_BOUND = 8
 
 
@@ -24,64 +24,47 @@ class CumulantError(ValueError):
     """Invalid conversion request (length over bound, undefined moments)."""
 
 
-def _check_length(n: int, bound: int):
+def _check_length(n: int):
     if n < 1:
         raise CumulantError("sequence must have length >= 1")
-    if n > bound:
-        raise CumulantError(f"length {n} exceeds the exact-mode bound {bound}")
 
 
-@lru_cache(maxsize=None)
-def _profile_tables(n: int):
-    """Per-order weight tables over NC(n), collapsed by block-size profile.
+def _extend_powers(powers, moments, n: int):
+    """Add the coefficients [z^j] M(z)^s with s + j = n to `powers`.
 
-    Returns (mobius_table, count_table): each maps a sorted tuple of block
-    sizes to the summed Mobius weight Mob(pi, 1) resp. the number of NC(n)
-    partitions with that profile. Products of moments/cumulants over blocks
-    depend only on the profile, so conversions reduce to short sums.
+    powers[s][j] = [z^j] M(z)^s for M(z) = sum_i moments[i] z^i, with
+    moments[0] = 1. On entry `powers` holds every s + j <= n - 1; the new
+    coefficients read moments only up to m_(n-1).
     """
-    mob = {}
-    cnt = {}
-    for pi in enumerate_nc(n):
-        profile = tuple(sorted(pi.block_sizes()))
-        mob[profile] = mob.get(profile, 0) + _mobius_to_top(pi)
-        cnt[profile] = cnt.get(profile, 0) + 1
-    return mob, cnt
-
-
-def _profile_product(profile, values):
-    out = 1
-    for size in profile:
-        out = out * values[size - 1]
-    return out
+    powers[0].append(0)
+    for s in range(1, n):
+        j = n - s
+        prev = powers[s - 1]
+        powers[s].append(sum(moments[i] * prev[j - i] for i in range(j + 1)))
+    powers.append([1])
 
 
 def moments_to_cumulants(moments) -> list:
     """Free cumulants (kappa_1..kappa_n) from raw moments (m_1..m_n)."""
-    moments = list(moments)
-    _check_length(len(moments), EXACT_CONVERSION_BOUND)
-    kappas = []
-    for n in range(1, len(moments) + 1):
-        mob, _ = _profile_tables(n)
-        kappa = 0
-        for profile, weight in mob.items():
-            kappa = kappa + weight * _profile_product(profile, moments)
-        kappas.append(kappa)
+    moments = [1] + list(moments)
+    _check_length(len(moments) - 1)
+    kappas, powers = [], [[1]]
+    for n in range(1, len(moments)):
+        _extend_powers(powers, moments, n)
+        rest = sum(kappas[s - 1] * powers[s][n - s] for s in range(1, n))
+        kappas.append(moments[n] - rest)
     return kappas
 
 
 def cumulants_to_moments(kappas) -> list:
     """Raw moments from free cumulants; exact inverse of moments_to_cumulants."""
     kappas = list(kappas)
-    _check_length(len(kappas), EXACT_CONVERSION_BOUND)
-    moments = []
+    _check_length(len(kappas))
+    moments, powers = [1], [[1]]
     for n in range(1, len(kappas) + 1):
-        _, cnt = _profile_tables(n)
-        m = 0
-        for profile, count in cnt.items():
-            m = m + count * _profile_product(profile, kappas)
-        moments.append(m)
-    return moments
+        _extend_powers(powers, moments, n)
+        moments.append(sum(kappas[s - 1] * powers[s][n - s] for s in range(1, n + 1)))
+    return moments[1:]
 
 
 def tau_pi(pi: Partition, word, tau):
@@ -111,7 +94,9 @@ def mixed_free_cumulant(word, tau):
     joint cumulants of free sums to per-summand ones).
     """
     word = tuple(word)
-    _check_length(len(word), MIXED_WORD_BOUND)
+    _check_length(len(word))
+    if len(word) > MIXED_WORD_BOUND:
+        raise CumulantError(f"word length {len(word)} exceeds the bound {MIXED_WORD_BOUND}")
     total = 0
     for pi in enumerate_nc(len(word)):
         total = total + _mobius_to_top(pi) * tau_pi(pi, word, tau)
@@ -204,7 +189,6 @@ def free_poisson_moments(lam, n: int) -> list:
 
 __all__ = [
     "CumulantError",
-    "EXACT_CONVERSION_BOUND",
     "MIXED_WORD_BOUND",
     "cumulants_to_moments",
     "free_joint_functional",

@@ -95,10 +95,6 @@ def _trapz_kernel(vals, xs, pts, power):
     return out
 
 
-def f_transform(mu: GridMeasure, z):
-    return 1.0 / cauchy(mu, z)
-
-
 def voiculescu(mu: GridMeasure, z):
     """phi(z) = F^(-1)(z) - z, by Newton iteration on F(w) = z from w0 = z."""
     arr = _as_points(z)
@@ -462,7 +458,6 @@ __all__ = [
     "cauchy",
     "cauchy_derivative",
     "dilate",
-    "f_transform",
     "free_convolve",
     "free_convolve_moments",
     "free_multiply_moments",

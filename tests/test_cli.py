@@ -224,6 +224,42 @@ def test_sim_matcauchy_cli(tmp_path, capsys):
     assert entry[1] == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_sim_matcauchy_draws_independent_samples(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import freelevy.cli as cli
+
+    seen = []
+    real = cli.matricial_cauchy
+
+    def capture(b_mat, a_mats, x_mats):
+        seen.extend(x_mats)
+        return real(b_mat, a_mats, x_mats)
+
+    monkeypatch.setattr(cli, "matricial_cauchy", capture)
+    cfg = write_config(
+        tmp_path,
+        d=20,
+        B=[[[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]],
+        A=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+    )
+    code, _, _ = run(capsys, "sim", "matcauchy", "--config", str(cfg))
+    assert code == 0
+    assert len(seen) == 3
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert not np.allclose(seen[i], seen[j]), (i, j)
+
+
+# a misspelt field, and an extra that only `sim mixed` reads
+@pytest.mark.parametrize("key, value", [("lamda", 0.5), ("mode", "product")])
+def test_sim_unknown_config_key_exit_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, k=2, **{key: value})
+    code, _, err = run(capsys, "sim", "variation", "--config", str(cfg))
+    assert code == 2
+    assert key in err
+
+
 def test_sim_config_error_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, d=1)
     code, _, err = run(capsys, "sim", "variation", "--config", str(cfg))

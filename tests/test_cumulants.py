@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,15 +23,19 @@ rationals = st.fractions(
 )
 
 
-def nc_sum_oracle(moments, n):
-    """Direct sum over enumerate_nc(n) without profile collapsing."""
+def nc_sum_oracle(values, n, mobius=True):
+    """Direct sum over enumerate_nc(n) of the block products of `values`.
+
+    With the Mobius weight Mob(pi, 1) this is kappa_n of the moments
+    `values`; with weight 1 it is m_n of the cumulants `values`.
+    """
     from freelevy.partitions import _mobius_to_top
 
     total = 0
     for pi in enumerate_nc(n):
-        term = _mobius_to_top(pi)
+        term = _mobius_to_top(pi) if mobius else 1
         for b in pi.blocks:
-            term *= moments[len(b) - 1]
+            term *= values[len(b) - 1]
         total += term
     return total
 
@@ -90,24 +95,46 @@ def test_constant_cumulant_moments():
     # m_3 = lam + 3 lam^2 + lam^3
     lam = 2
     oracle = [
-        sum(lam ** len(pi) for pi in enumerate_nc(n)) for n in (1, 2, 3)
+        sum(lam ** len(pi) for pi in enumerate_nc(n)) for n in range(1, 11)
     ]
-    assert oracle == [2, 6, 22]
-    assert cumulants_to_moments([lam, lam, lam]) == oracle
+    assert oracle[:3] == [2, 6, 22]
+    assert cumulants_to_moments([lam] * 10) == oracle
+    assert moments_to_cumulants(oracle) == [lam] * 10
 
 
 def test_conversion_matches_direct_nc_sum():
-    moments = [Fraction(1, 2), Fraction(3), Fraction(-2, 5), Fraction(7, 4)]
-    kappas = moments_to_cumulants(moments)
-    for n in range(1, 5):
-        assert kappas[n - 1] == nc_sum_oracle(moments, n)
+    values = [
+        Fraction(1, 2), Fraction(3), Fraction(-2, 5), Fraction(7, 4), Fraction(-1),
+        Fraction(5, 6), Fraction(2, 9), Fraction(-3, 2), Fraction(4), Fraction(1, 7),
+    ]
+    kappas = moments_to_cumulants(values)
+    moments = cumulants_to_moments(values)
+    for n in range(1, 11):
+        assert kappas[n - 1] == nc_sum_oracle(values, n)
+        assert moments[n - 1] == nc_sum_oracle(values, n, mobius=False)
 
 
 def test_length_bound():
     with pytest.raises(CumulantError):
-        moments_to_cumulants([0] * 13)
+        moments_to_cumulants([])
     with pytest.raises(CumulantError):
         cumulants_to_moments([])
+
+
+def test_order_24_closed_forms():
+    # semicircle (kappa_2 = 1, all others 0) has the Catalan numbers as even
+    # moments; constant cumulants lam give the Narayana polynomials
+    catalan = [0 if n % 2 else math.comb(n, n // 2) // (n // 2 + 1) for n in range(1, 25)]
+    semicircle = [0, 1] + [0] * 22
+    assert cumulants_to_moments(semicircle) == catalan
+    assert moments_to_cumulants(catalan) == semicircle
+    lam = Fraction(3, 4)
+    narayana = [
+        sum(Fraction(math.comb(n, j) * math.comb(n, j - 1), n) * lam**j for j in range(1, n + 1))
+        for n in range(1, 25)
+    ]
+    assert cumulants_to_moments([lam] * 24) == narayana
+    assert moments_to_cumulants(narayana) == [lam] * 24
 
 
 @given(st.lists(rationals, min_size=1, max_size=8))

@@ -54,6 +54,16 @@ def test_config_json_roundtrip():
     assert back == cfg
 
 
+def test_config_json_rejects_unknown_keys():
+    cfg = small_config()
+    # subcommand extras are skipped, anything else is an error
+    assert SimConfig.from_json(dict(cfg.to_json(), k=3, mode="product")) == cfg
+    with pytest.raises(SimError, match="lamda"):
+        SimConfig.from_json(dict(cfg.to_json(), lamda=0.5))
+    with pytest.raises(SimError, match="JSON object"):
+        SimConfig.from_json([1, 2])
+
+
 # -- sampling ------------------------------------------------------------------
 
 
@@ -194,6 +204,18 @@ def test_verify_variation_k1_matches_process():
     report = verify_variation(cfg, 1)
     assert report.passed
     assert report.moments[0]["predicted"] == 1.0
+
+
+def test_verify_variation_reports_finite_n_reference_above_order_12():
+    # k * k_max = 15: the pre-limit law needs increment moments up to order 15
+    cfg = small_config(d=20, trials=2, N=4, k_max=5)
+    report = verify_variation(cfg, 3)
+    reference = report.extras["finite_n_reference"]
+    assert len(reference) == 5
+    # first moment of sum_i X_i^3 for unit jumps: N * m_3 of one increment,
+    # m_3 = delta + 3 delta^2 + delta^3 with delta = lam t / N
+    delta = 1.0 / cfg.N
+    assert reference[0] == pytest.approx(cfg.N * (delta + 3 * delta**2 + delta**3), rel=1e-12)
 
 
 def test_verify_variation_threads_deterministic():
