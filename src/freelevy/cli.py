@@ -313,7 +313,7 @@ def cmd_sim(args, manifest) -> int:
             manifest.emit(out_dir / "matcauchy.json", _dump(payload))
         else:
             print(_dump(payload))
-        print(f"PASS matcauchy k={b_mat.shape[0]} d={cfg.d}")
+        print(f"matcauchy k={b_mat.shape[0]} d={cfg.d}")
         return EXIT_OK
     else:
         raise SimError(f"unknown sim subcommand {args.subcommand!r}")

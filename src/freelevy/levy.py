@@ -13,7 +13,7 @@ The triple stored here is time-free: the law at time t has triple
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -67,29 +67,20 @@ def _tail_x(x):
     return x if abs(x) > 1 else 0
 
 
-@dataclass
-class LevyMeasure:
-    """Atoms plus a sampled density, with the origin excluded.
+class LevyMeasure(GridMeasure):
+    """A GridMeasure with the origin excluded and min(1, x^2) integrable.
 
-    The same grid representation as GridMeasure, but the total mass may be
-    large and the origin carries none: atoms at 0 are rejected and the grid
-    node nearest 0 is zeroed.
+    The total mass may be large, but the origin carries none: atoms at 0
+    are rejected and the grid node nearest 0 is zeroed.
     """
 
-    atoms: list = field(default_factory=list)
-    grid: DensityGrid | None = None
-
     def __post_init__(self):
-        cleaned = []
         for loc, mass in self.atoms:
             if mass < 0:
                 raise LevyError(f"negative mass {mass} at {loc}")
             if _is_zero(loc) and mass != 0:
                 raise LevyError("Levy measures carry no atom at the origin")
-            if mass != 0:
-                cleaned.append((loc, mass))
-        cleaned.sort(key=lambda a: float(a[0]))
-        self.atoms = cleaned
+        super().__post_init__()
         if self.grid is not None:
             xs = self.grid.xs()
             inside = np.abs(xs) < self.grid.h / 2.0
@@ -103,39 +94,11 @@ class LevyMeasure:
                 f"integral of min(1, x^2) = {guard} exceeds the {INTEGRABILITY_GUARD} guard"
             )
 
-    def integrate(self, f):
-        total = sum((m * f(x) for x, m in self.atoms), start=0)
-        if self.grid is not None:
-            total = total + self.grid.integral(f)
-        return total
-
-    def moment(self, k: int):
-        return self.integrate(lambda x: x**k)
-
     def is_trivial(self) -> bool:
         return not self.atoms and (self.grid is None or self.grid.mass() == 0.0)
 
-    def support_bounds(self):
-        return GridMeasure(list(self.atoms), self.grid).support_bounds()
-
     def to_grid_measure(self) -> GridMeasure:
         return GridMeasure(list(self.atoms), self.grid)
-
-    def to_json(self) -> dict:
-        return self.to_grid_measure().to_json()
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LevyMeasure":
-        gm = GridMeasure.from_json(data)
-        return cls(gm.atoms, gm.grid)
-
-    @classmethod
-    def from_grid_measure(cls, gm: GridMeasure) -> "LevyMeasure":
-        return cls(list(gm.atoms), gm.grid)
-
-    @classmethod
-    def zero(cls) -> "LevyMeasure":
-        return cls([], None)
 
 
 @dataclass
@@ -394,13 +357,7 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
                 values[-1] *= 2.0
                 grid = DensityGrid(lo_t, lo_t + ht * PUSHFORWARD_CELLS, ht, values)
 
-    out = LevyMeasure(atoms, grid)
-    check = out.integrate(
-        lambda x: np.minimum(1.0, x * x) if hasattr(x, "shape") else min(1, x * x)
-    )
-    if not np.isfinite(float(check)):
-        raise LevyError("pushforward violated the Levy integrability check")
-    return out
+    return LevyMeasure(atoms, grid)
 
 
 def _deposit_interval(node_mass, lo, h, a, b, mass):

@@ -157,41 +157,45 @@ def _draw_marks(config: SimConfig, trial: int, family: str = "a"):
     return s, u, v
 
 
-def _diagonal_at(u, v, lam, tau):
-    return v * (u <= lam * tau)
+def _increments(marks, config: SimConfig, n: int):
+    """The n increments of X over an even grid of [0, t], one at a time,
+    from one trial's (s, u, v) marks."""
+    s, u, v = marks
+    diagonals = [v * (u <= config.lam * (config.t * i / n)) for i in range(n + 1)]
+    for prev, cur in zip(diagonals, diagonals[1:]):
+        yield hermitize((s * (cur - prev)) @ s)
+
+
+def _variation_matrix(marks, config: SimConfig, k: int) -> np.ndarray:
+    """s e(t)^k s from one trial's (s, u, v) marks."""
+    s, u, v = marks
+    return hermitize((s * (v**k * (u <= config.lam * config.t))) @ s)
 
 
 def sample_cp_increments(config: SimConfig, trial: int, family: str = "a"):
     """The N compound-Poisson increments of one trial, telescoping by design."""
-    s, u, v = _draw_marks(config, trial, family)
-    out = []
-    prev = _diagonal_at(u, v, config.lam, 0.0)
-    for i in range(1, config.N + 1):
-        cur = _diagonal_at(u, v, config.lam, config.t * i / config.N)
-        w = cur - prev
-        out.append(hermitize((s * w) @ s))
-        prev = cur
-    return out
+    return list(_increments(_draw_marks(config, trial, family), config, config.N))
 
 
 def variation_target(config: SimConfig, k: int, trial: int = 0, family: str = "a"):
     """s e(t)^k s, the matrix realization of the k-th variation at time t."""
-    s, u, v = _draw_marks(config, trial, family)
-    w = v**k * (u <= config.lam * config.t)
-    return hermitize((s * w) @ s)
+    return _variation_matrix(_draw_marks(config, trial, family), config, k)
 
 
 def power_sums(increments, k: int) -> np.ndarray:
-    """Sum of k-th matrix powers of the increments."""
+    """Sum of k-th matrix powers of the increments (any iterable of them)."""
     if k < 1:
         raise SimError(f"power must be >= 1, got {k}")
-    d = increments[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
+    acc = None
     for x in increments:
         p = x
         for _ in range(k - 1):
             p = p @ x
+        if acc is None:
+            acc = np.zeros(p.shape, dtype=complex)
         acc += p
+    if acc is None:
+        raise SimError("power_sums needs at least one increment")
     return hermitize(acc)
 
 
@@ -217,6 +221,8 @@ def matricial_cauchy(b_mat, a_mats, x_mats) -> np.ndarray:
     """(I (x) tr/d) applied to the inverse of B (x) 1 - sum A_i (x) X_i."""
     b_mat = np.asarray(b_mat, dtype=complex)
     k = b_mat.shape[0]
+    if b_mat.shape != (k, k):
+        raise SimError(f"matricial transform needs a square B, got shape {b_mat.shape}")
     imag_part = (b_mat - b_mat.conj().T) / 2j
     if np.min(np.linalg.eigvalsh(imag_part)) <= 0:
         raise SimError("matricial transform needs Im B positive definite")
@@ -228,6 +234,11 @@ def matricial_cauchy(b_mat, a_mats, x_mats) -> np.ndarray:
     big = np.kron(b_mat, np.eye(d))
     for a, x in zip(a_mats, x_mats):
         a = np.asarray(a, dtype=complex)
+        if a.shape != (k, k) or np.shape(x) != (d, d):
+            raise SimError(
+                f"matricial transform needs each A_i of shape {(k, k)} (that of B) and "
+                f"each X_i of shape {(d, d)}, got A_i {a.shape} and X_i {np.shape(x)}"
+            )
         if not (is_hermitian(a, tol=1e-10) and is_hermitian(x, tol=1e-10)):
             raise SimError("matricial transform needs Hermitian coefficients/samples")
         big -= np.kron(a, x)
@@ -355,30 +366,15 @@ def verify_variation(config: SimConfig, k: int, threads: int = 1) -> SimReport:
     schedule = _doubling_schedule(config.N)
 
     def one_trial(trial):
-        s, u, v = _draw_marks(config, trial)
-        target = hermitize((s * (v**k * (u <= config.lam * config.t))) @ s)
+        marks = _draw_marks(config, trial)
+        target = _variation_matrix(marks, config, k)
         proxies = []
-        moments = None
-        eigs = None
         for n in schedule:
-            prev = _diagonal_at(u, v, config.lam, 0.0)
-            acc = np.zeros_like(s)
-            for i in range(1, n + 1):
-                cur = _diagonal_at(u, v, config.lam, config.t * i / n)
-                x = hermitize((s * (cur - prev)) @ s)
-                p = x
-                for _ in range(k - 1):
-                    p = p @ x
-                acc += p
-                prev = cur
-            acc = hermitize(acc)
+            acc = power_sums(_increments(marks, config, n), k)
             proxies.append(
                 float(np.linalg.norm(acc - target)) / math.sqrt(config.d)
             )
-            if n == schedule[-1]:
-                moments = trace_moments(acc, orders)
-                eigs = esd(acc)
-        return moments, proxies, eigs
+        return trace_moments(acc, orders), proxies, esd(acc)
 
     results = _run_trials(one_trial, config.trials, threads)
     moment_rows = np.array([r[0] for r in results])
@@ -548,25 +544,15 @@ def mixed_decay(
     ns = schedule or _doubling_schedule(config_a.N)[1:] or [config_a.N]
 
     def one_trial(trial):
-        sa, ua, va = _draw_marks(config_a, trial, "a")
-        sb, ub, vb = _draw_marks(config_b, trial, "b")
+        marks_a = _draw_marks(config_a, trial, "a")
+        marks_b = _draw_marks(config_b, trial, "b")
         out = []
         for n in ns:
-            prev_a = _diagonal_at(ua, va, config_a.lam, 0.0)
-            prev_b = _diagonal_at(ub, vb, config_b.lam, 0.0)
-            acc = np.zeros_like(sa)
-            for i in range(1, n + 1):
-                cur_a = _diagonal_at(ua, va, config_a.lam, config_a.t * i / n)
-                cur_b = _diagonal_at(ub, vb, config_b.lam, config_b.t * i / n)
-                x = hermitize((sa * (cur_a - prev_a)) @ sa)
-                y = hermitize((sb * (cur_b - prev_b)) @ sb)
-                if mode == "anticommutator":
-                    acc += x @ y + y @ x
-                else:
-                    acc += x @ y
-                prev_a, prev_b = cur_a, cur_b
-            m2 = float(np.trace(acc @ acc.conj().T).real) / config_a.d
-            out.append(m2)
+            acc = np.zeros_like(marks_a[0])
+            pairs = zip(_increments(marks_a, config_a, n), _increments(marks_b, config_b, n))
+            for x, y in pairs:
+                acc += x @ y + y @ x if mode == "anticommutator" else x @ y
+            out.append(float(np.trace(acc @ acc.conj().T).real) / config_a.d)
         return out
 
     rows = np.array(_run_trials(one_trial, config_a.trials, threads))

@@ -222,6 +222,16 @@ def test_sim_matcauchy_cli(tmp_path, capsys):
     entry = payload["matrix"][1][1]
     assert entry[0] == pytest.approx(0.0, abs=1e-12)
     assert entry[1] == pytest.approx(-0.5, abs=1e-12)
+    # the matrix is reported unchecked, so no verdict word
+    assert out.splitlines()[-1] == "matcauchy k=2 d=150"
+
+
+def test_sim_matcauchy_shape_mismatch_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, d=10, B=[[[0.0, 2.0]]], A=[[[1.0, 0.0], [0.0, 1.0]]])
+    code, _, err = run(capsys, "sim", "matcauchy", "--config", str(cfg))
+    assert code == 2
+    assert "(1, 1)" in err and "(2, 2)" in err
+    assert "broadcast" not in err
 
 
 def test_sim_matcauchy_draws_independent_samples(tmp_path, capsys, monkeypatch):

@@ -119,6 +119,12 @@ def test_cp_second_moment_free_poisson():
     assert abs(mean - 2.0) <= 3 * stderr + 0.02
 
 
+def test_power_sums_rejects_empty_input():
+    for empty in ([], iter(())):
+        with pytest.raises(SimError, match="needs at least one increment"):
+            power_sums(empty, 2)
+
+
 def test_variation_target_projection_powers():
     cfg = small_config(d=80)
     t1 = variation_target(cfg, 1, trial=5)
@@ -218,6 +224,14 @@ def test_verify_variation_reports_finite_n_reference_above_order_12():
     assert reference[0] == pytest.approx(cfg.N * (delta + 3 * delta**2 + delta**3), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_variation_means_are_the_public_model(k):
+    cfg = small_config(d=30, trials=1, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
+    report = verify_variation(cfg, k)
+    expected = trace_moments(power_sums(sample_cp_increments(cfg, 0), k), cfg.k_max)
+    assert [m["mean"] for m in report.moments] == expected
+
+
 def test_verify_variation_threads_deterministic():
     cfg = small_config(d=80, trials=6, N=8)
     r1 = verify_variation(cfg, 2, threads=1)
@@ -282,6 +296,18 @@ def test_mixed_decay_product_mode():
     assert report.extras["m2_by_n"][-1] <= report.extras["m2_by_n"][0]
 
 
+@pytest.mark.parametrize("mode", ["anticommutator", "product"])
+def test_mixed_decay_is_the_public_model(mode):
+    cfg_a = small_config(d=30, trials=1, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
+    cfg_b = small_config(d=30, trials=1, N=8, master_seed=7, lam=0.6, jump=[[0.5, 1.0]])
+    report = mixed_decay(cfg_a, cfg_b, mode, schedule=[cfg_a.N])
+    acc = np.zeros((cfg_a.d, cfg_a.d), dtype=complex)
+    for x, y in zip(sample_cp_increments(cfg_a, 0, "a"), sample_cp_increments(cfg_b, 0, "b")):
+        acc += x @ y + y @ x if mode == "anticommutator" else x @ y
+    m2 = float(np.trace(acc @ acc.conj().T).real) / cfg_a.d
+    assert report.extras["m2_by_n"] == [m2]
+
+
 def test_counterexample_exact_rows():
     rows = counterexample_rows(0.25, [100, 10000])
     for row in rows:
@@ -332,6 +358,17 @@ def test_matricial_block_decouples():
 def test_matricial_requires_upper_b():
     with pytest.raises(SimError):
         matricial_cauchy(np.array([[1.0 + 0j]]), [], [])
+
+
+def test_matricial_rejects_mismatched_shapes():
+    b = np.array([[2j]])
+    h = sample_gue(4, stream(1, 0, "gue_a"))
+    with pytest.raises(SimError, match=r"\(1, 1\).*\(2, 2\)"):
+        matricial_cauchy(b, [np.eye(2)], [h])
+    with pytest.raises(SimError, match=r"\(4, 4\).*\(3, 3\)"):
+        matricial_cauchy(b, [np.eye(1), np.eye(1)], [h, np.eye(3)])
+    with pytest.raises(SimError, match="square B"):
+        matricial_cauchy(np.array([[2j, 0]]), [np.eye(1)], [h])
 
 
 # -- freeness proxy --------------------------------------------------------------------

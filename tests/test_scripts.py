@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -30,3 +32,19 @@ def test_variation_convergence_cubic_writes_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {int(r["N"]) for r in rows} == {4, 8, 16, 32, 64}
     assert all(r["finite_law"] for r in rows)
+
+
+def test_mixed_decay_trend_prints_its_table():
+    proc = run_script("mixed_decay_trend.py", "--d", "20", "--trials", "2", "--threads", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["N", "m2", "N*m2"]
+    rows = [line.split() for line in lines[1:5]]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64]
+    for n, m2, scaled in rows:
+        assert float(m2) > 0
+        # m2 is printed to 5 decimals, N*m2 to 4
+        assert abs(float(scaled) - int(n) * float(m2)) <= int(n) * 5e-6 + 5e-5
+    label, ratio = lines[5].split(": ")
+    assert label == "decay ratio (last/first)"
+    assert float(ratio) == pytest.approx(float(rows[-1][1]) / float(rows[0][1]), abs=1e-3)
