@@ -60,7 +60,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+
+class InputError(ValueError):
+    """A required input flag is missing, or its file is unreadable or not JSON."""
+
+
 _SCHEMA_ERRORS = (
+    InputError,
     LevyError,
     MeasureError,
     NCSymError,
@@ -69,7 +75,6 @@ _SCHEMA_ERRORS = (
     KeyError,
     TypeError,
     ValueError,
-    json.JSONDecodeError,
 )
 
 
@@ -165,7 +170,12 @@ def cmd_ncsym(args) -> int:
 
 def _read_json(path, manifest):
     manifest.inputs.append(str(path))
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not JSON: {exc}") from None
 
 
 def _write_or_print(data, args, manifest, default_name: str):
@@ -191,6 +201,8 @@ _BP_FAMILIES = {
 
 
 def cmd_levy(args, manifest) -> int:
+    if args.action != "bp-check" and args.input is None:
+        raise InputError(f"levy {args.action} needs --input")
     if args.action == "to-pair":
         triple = GeneratingTriple.from_json(_read_json(args.input, manifest))
         _write_or_print(triple_to_pair(triple).to_json(), args, manifest, "pair.json")

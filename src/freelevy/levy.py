@@ -4,7 +4,9 @@ compound-Poisson triples, cumulant expansion, and the limit-condition checker.
 
 Atom arithmetic goes through plain Python numbers, so triples built from
 ints/Fractions convert and round-trip exactly; density parts integrate on
-their grids in floating point.
+their grids in floating point. Each integrand is written once and is called
+with a number for each atom and with the whole node array for the grid;
+_where is the one place that tells the two apart.
 
 The triple stored here is time-free: the law at time t has triple
 (t eta, t a, t rho), and cumulants scale linearly in t.
@@ -23,7 +25,6 @@ from .measures import DensityGrid, GridMeasure
 ORIGIN_TOL = 1e-12
 INTEGRABILITY_GUARD = 1e12
 PUSHFORWARD_CELLS = 4096
-SMALL_JUMP_SPLIT = 1e-3  # |x| below this integrates (p(x)-bx) as q(x) x^2
 
 
 class LevyError(ValueError):
@@ -34,10 +35,16 @@ def _is_zero(x) -> bool:
     return abs(x) <= ORIGIN_TOL
 
 
-def _min_1_x2(x):
-    if hasattr(x, "shape"):
-        return np.minimum(1.0, x * x)
-    return min(1, x * x)
+def _where(cond, yes, no):
+    """yes where cond holds, else no: elementwise on grid arrays, plain on atoms.
+
+    The one place that tells an exact scalar from a grid array, so every
+    integrand below is written once. On arrays both branches are evaluated,
+    so each must stay finite on every grid node.
+    """
+    if hasattr(cond, "shape"):
+        return np.where(cond, yes, no)
+    return yes if cond else no
 
 
 def _exact(x):
@@ -45,26 +52,52 @@ def _exact(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
+def _min_1_x2(x):
+    return _where(x * x < 1, x * x, 1)
+
+
 def _tilt_weight(x):
     """x / (1 + x^2), exact on scalar rationals."""
-    if hasattr(x, "shape"):
-        return x / (1.0 + x * x)
     x = _exact(x)
     return x / (1 + x * x)
 
 
 def _truncated_x(x):
     """x on [-1, 1], zero outside."""
-    if hasattr(x, "shape"):
-        return np.where(np.abs(x) <= 1.0, x, 0.0)
-    return x if abs(x) <= 1 else 0
+    return _where(abs(x) <= 1, x, 0)
 
 
 def _tail_x(x):
     """x outside [-1, 1], zero inside."""
-    if hasattr(x, "shape"):
-        return np.where(np.abs(x) > 1.0, x, 0.0)
-    return x if abs(x) > 1 else 0
+    return _where(abs(x) > 1, x, 0)
+
+
+def _sigma_weight(x):
+    """x^2 / (1 + x^2), the density of sigma against rho."""
+    return x * x / (1 + x * x)
+
+
+def _rho_weight(x):
+    """(1 + x^2) / x^2, the density of rho against sigma (finite at x = 0,
+    where LevyMeasure zeroes the grid node)."""
+    return (1 + x * x) / _where(x == 0, 1, x * x)
+
+
+def _tilt(x):
+    """x^3 / (1 + x^2) on [-1, 1], -x / (1 + x^2) outside: gamma = eta - int tilt drho."""
+    x = _exact(x)
+    return _where(abs(x) <= 1, x**3 / (1 + x * x), -x / (1 + x * x))
+
+
+def _reweighted(mu: GridMeasure, f):
+    """Atoms and grid of f(x) mu(dx), with int atom locations made exact."""
+    atoms = [(_exact(x), m) for x, m in mu.atoms]
+    atoms = [(x, m * f(x)) for x, m in atoms]
+    grid = None
+    if mu.grid is not None:
+        g = mu.grid
+        grid = DensityGrid(g.lo, g.hi, g.h, g.values * f(g.xs()))
+    return atoms, grid
 
 
 class LevyMeasure(GridMeasure):
@@ -145,6 +178,10 @@ class VariationMap:
     corrupted by finite-difference noise. monotone_pieces optionally lists
     intervals on which p is injective, enabling the mass-preserving density
     pushforward; without them a midpoint binning fallback is used.
+
+    p is called with a number (an atom, exact ints/Fractions stay exact) and
+    with a numpy array of grid nodes, which it must map elementwise; the
+    power and polynomial factories accept both.
     """
 
     p: callable
@@ -195,64 +232,19 @@ class VariationMap:
 
 def triple_to_pair(t: GeneratingTriple) -> GeneratingPair:
     """(eta, a, rho) -> (gamma, sigma): sigma = a delta_0 + x^2/(1+x^2) rho."""
-    atoms = [(0, t.a)] if t.a != 0 else []
-    for x, m in t.rho.atoms:
-        x = _exact(x)
-        atoms.append((x, m * x * x / (1 + x * x)))
-    grid = None
-    if t.rho.grid is not None:
-        xs = t.rho.grid.xs()
-        vals = t.rho.grid.values * xs * xs / (1.0 + xs * xs)
-        grid = DensityGrid(t.rho.grid.lo, t.rho.grid.hi, t.rho.grid.h, vals)
-
-    def tilt(x):
-        if hasattr(x, "shape"):
-            inside = np.abs(x) <= 1.0
-            return np.where(inside, x**3 / (1.0 + x**2), -x / (1.0 + x**2))
-        x = _exact(x)
-        if abs(x) <= 1:
-            return x**3 / (1 + x * x)
-        return -x / (1 + x * x)
-
-    correction = t.rho.integrate(tilt)
+    atoms, grid = _reweighted(t.rho, _sigma_weight)
+    correction = t.rho.integrate(_tilt)
     if not np.isfinite(float(correction)):
         raise LevyError("tilt integral diverged; rho is not a Levy measure")
-    return GeneratingPair(t.eta - correction, GridMeasure(atoms, grid))
+    return GeneratingPair(t.eta - correction, GridMeasure([(0, t.a)] + atoms, grid))
 
 
 def pair_to_triple(p: GeneratingPair) -> GeneratingTriple:
     """(gamma, sigma) -> (eta, a, rho): a = sigma({0}), rho = (1+x^2)/x^2 sigma."""
-    a = 0
-    rho_atoms = []
-    eta = p.gamma
-    for x, m in p.sigma.atoms:
-        if _is_zero(x):
-            a = a + m
-            continue
-        x = _exact(x)
-        m = _exact(m)
-        rho_atoms.append((x, m * (1 + x * x) / (x * x)))
-        # integrand x on 0<|x|<=1, -1/x outside
-        eta = eta + (m * x if abs(x) <= 1 else -m / x)
-    grid = None
-    if p.sigma.grid is not None:
-        sg = p.sigma.grid
-        xs = sg.xs()
-        off = np.abs(xs) >= sg.h / 2.0
-        factor = np.zeros_like(xs)
-        factor[off] = (1.0 + xs[off] ** 2) / xs[off] ** 2
-        grid = DensityGrid(sg.lo, sg.hi, sg.h, sg.values * factor)
-
-        def tilt_vec(x):
-            t = np.zeros_like(x)
-            inner = (np.abs(x) >= sg.h / 2.0) & (np.abs(x) <= 1.0)
-            outer = np.abs(x) > 1.0
-            t[inner] = x[inner]
-            t[outer] = -1.0 / x[outer]
-            return t
-
-        eta = eta + sg.integral(tilt_vec)
-    return GeneratingTriple(eta, a, LevyMeasure(rho_atoms, grid))
+    a = sum((m for x, m in p.sigma.atoms if _is_zero(x)), start=0)
+    off_atoms = [(x, m) for x, m in p.sigma.atoms if not _is_zero(x)]
+    rho = LevyMeasure(*_reweighted(GridMeasure(off_atoms, p.sigma.grid), _rho_weight))
+    return GeneratingTriple(p.gamma + rho.integrate(_tilt), a, rho)
 
 
 def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
@@ -325,8 +317,8 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
         vals = rho.grid.values
         h = rho.grid.h
         cell_mass = h * (vals[:-1] + vals[1:]) / 2.0
-        images = np.array([float(vm.p(x)) for x in xs])
-        mids = np.array([float(vm.p(x)) for x in (xs[:-1] + xs[1:]) / 2.0])
+        images = np.asarray(vm.p(xs), dtype=float)
+        mids = np.asarray(vm.p((xs[:-1] + xs[1:]) / 2.0), dtype=float)
         # include the midpoint image so cells straddling a fold of p
         # (e.g. the vertex of an even power) cover their true image range
         los = np.minimum(np.minimum(images[:-1], images[1:]), mids)
@@ -341,17 +333,11 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
                 )
             else:
                 ht = (hi_t - lo_t) / PUSHFORWARD_CELLS
-                node_mass = np.zeros(PUSHFORWARD_CELLS + 1)
-                use_pieces = vm.monotone_pieces is not None
-                for i in np.flatnonzero(keep):
-                    if use_pieces:
-                        _deposit_interval(
-                            node_mass, lo_t, ht, los[i], his[i], cell_mass[i]
-                        )
-                    else:
-                        _deposit_interval(
-                            node_mass, lo_t, ht, mids[i], mids[i], cell_mass[i]
-                        )
+                if vm.monotone_pieces is None:
+                    los, his = mids, mids
+                node_mass = _deposit(
+                    PUSHFORWARD_CELLS, lo_t, ht, los[keep], his[keep], cell_mass[keep]
+                )
                 values = node_mass / ht
                 values[0] *= 2.0
                 values[-1] *= 2.0
@@ -360,24 +346,26 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
     return LevyMeasure(atoms, grid)
 
 
-def _deposit_interval(node_mass, lo, h, a, b, mass):
-    """Spread `mass` uniformly over [a, b] onto uniform cells starting at lo."""
-    n_cells = len(node_mass) - 1
-    if b - a <= 1e-15:
-        j = min(max(int((a - lo) / h), 0), n_cells - 1)
-        node_mass[j] += mass / 2.0
-        node_mass[j + 1] += mass / 2.0
-        return
-    width = b - a
-    j0 = min(max(int((a - lo) / h), 0), n_cells - 1)
-    j1 = min(max(int((b - lo) / h), 0), n_cells - 1)
-    for j in range(j0, j1 + 1):
+def _deposit(n_cells, lo, h, a, b, mass):
+    """Node masses after spreading each mass[i] uniformly over [a[i], b[i]]
+    (all at a[i] when b[i] - a[i] <= 1e-15) onto n_cells uniform cells
+    starting at lo; each cell's share goes half to each of its end nodes."""
+    node_mass = np.zeros(n_cells + 1)
+    point = b - a <= 1e-15
+    j0 = np.clip(((a - lo) / h).astype(int), 0, n_cells - 1)
+    j1 = np.where(point, j0, np.clip(((b - lo) / h).astype(int), 0, n_cells - 1))
+    width = np.where(point, 1.0, b - a)
+    # the k-th cell of every interval at once: k runs over the widest span
+    for k in range(int((j1 - j0).max()) + 1):
+        on = j0 + k <= j1
+        j = j0[on] + k
         cell_lo = lo + j * h
-        overlap = max(0.0, min(b, cell_lo + h) - max(a, cell_lo))
-        if overlap > 0:
-            share = mass * overlap / width
-            node_mass[j] += share / 2.0
-            node_mass[j + 1] += share / 2.0
+        overlap = np.minimum(b[on], cell_lo + h) - np.maximum(a[on], cell_lo)
+        overlap = np.where(point[on], 1.0, np.clip(overlap, 0.0, None))
+        share = mass[on] * overlap / width[on]
+        np.add.at(node_mass, j, share / 2.0)
+        np.add.at(node_mass, j + 1, share / 2.0)
+    return node_mass
 
 
 def variation_triple(t: GeneratingTriple, vm: VariationMap) -> GeneratingTriple:
@@ -387,34 +375,15 @@ def variation_triple(t: GeneratingTriple, vm: VariationMap) -> GeneratingTriple:
       eta' = b eta + a c + int [ 1{0<|p(x)|<=1} p(x) - 1{0<|x|<=1} b x ] drho
       a'   = a b^2
       rho' = pushforward of rho under p.
-    The compensator integrand is evaluated as q(x) x^2 with
-    q = (p(x) - b x)/x^2 for |x| below 1e-3, where the direct form cancels.
     """
     b, c = vm.b, vm.c
 
     def compensator(x):
         x = _exact(x)
-        ax = abs(x)
-        if ax <= ORIGIN_TOL:
-            return 0
-        if ax <= SMALL_JUMP_SPLIT:
-            q = (vm.p(x) - b * x) / (x * x)
-            return q * x * x
         px = vm.p(x)
-        term = px if 0 < abs(px) <= 1 else 0
-        if ax <= 1:
-            term = term - b * x
-        return term
+        return _where((0 < abs(px)) & (abs(px) <= 1), px, 0) - b * _truncated_x(x)
 
-    def compensator_vec(xs):
-        out = np.zeros_like(xs)
-        for i, x in enumerate(xs):
-            out[i] = compensator(float(x))
-        return out
-
-    integral = t.rho.integrate(
-        lambda x: compensator_vec(x) if hasattr(x, "shape") else compensator(x)
-    )
+    integral = t.rho.integrate(compensator)
     if not np.isfinite(float(integral)):
         raise LevyError("compensator integral diverged")
     eta_p = b * t.eta + t.a * c + integral
@@ -476,17 +445,8 @@ def bp_limit_check(family, ns) -> BPReport:
     gammas, sigmas = [], []
     for n in ns:
         mu = family(n)
-        gamma_n = n * mu.integrate(_tilt_weight)
-        atoms = [(x, n * m * x * x / (1 + x * x)) for x, m in mu.atoms if m != 0]
-        grid = None
-        if mu.grid is not None:
-            xs = mu.grid.xs()
-            grid = DensityGrid(
-                mu.grid.lo, mu.grid.hi, mu.grid.h,
-                n * mu.grid.values * xs * xs / (1.0 + xs * xs),
-            )
-        sigmas.append(GridMeasure([(x, m) for x, m in atoms if m != 0], grid))
-        gammas.append(gamma_n)
+        gammas.append(n * mu.integrate(_tilt_weight))
+        sigmas.append(GridMeasure(*_reweighted(mu, lambda x: n * _sigma_weight(x))))
 
     gamma = _extrapolate(gammas, ns)
     masses = [s.total_mass for s in sigmas]

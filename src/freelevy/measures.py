@@ -50,7 +50,10 @@ class DensityGrid:
         return float(_trapezoid(self.values, dx=self.h))
 
     def integral(self, f) -> float:
-        return float(_trapezoid(f(self.xs()) * self.values, dx=self.h))
+        """Trapezoid integral of f against the density; f is called once on
+        the node array and its values are taken as floats."""
+        fx = np.asarray(f(self.xs()), dtype=float)
+        return float(_trapezoid(fx * self.values, dx=self.h))
 
     @classmethod
     def from_function(cls, lo, hi, n_points, fn) -> "DensityGrid":
@@ -155,10 +158,6 @@ def point_mass(x, mass=1) -> GridMeasure:
     return GridMeasure([(x, mass)])
 
 
-def from_atoms(pairs) -> GridMeasure:
-    return GridMeasure(list(pairs))
-
-
 def two_point(a, b, pa, pb) -> GridMeasure:
     return GridMeasure([(a, pa), (b, pb)])
 
@@ -211,7 +210,6 @@ __all__ = [
     "MeasureError",
     "arcsine_density",
     "bernoulli_symmetric",
-    "from_atoms",
     "point_mass",
     "semicircle",
     "semicircle_density",

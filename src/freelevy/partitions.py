@@ -49,12 +49,6 @@ class Partition:
         self.n = n
         self.blocks = canon
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "Partition":
-        blocks = list(blocks)
-        n = max(max(b) for b in blocks)
-        return cls(n, blocks)
-
     def __eq__(self, other):
         return (
             isinstance(other, Partition)

@@ -521,7 +521,9 @@ def mixed_decay(
     """Second moment of mixed sums of two independent increment families
     along a doubling schedule; passes when it decays below the threshold.
 
-    mode "square-of-sum" is the infinitesimal counterexample: it ignores
+    The two families share d, N (the schedule's default) and trials; a
+    config_b that differs in any of them raises SimError. mode
+    "square-of-sum" is the infinitesimal counterexample: it ignores
     config_b and reports the exact scalar quadratic sums for alpha from
     config_a, which diverge like 2 t N^(1 - 2 alpha)."""
     if mode == "square-of-sum":
@@ -541,6 +543,12 @@ def mixed_decay(
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
     config_b = config_b or config_a
+    for name in ("d", "N", "trials"):
+        va, vb = getattr(config_a, name), getattr(config_b, name)
+        if va != vb:
+            raise SimError(
+                f"mixed_decay needs one {name} for both families, got {va} and {vb}"
+            )
     ns = schedule or _doubling_schedule(config_a.N)[1:] or [config_a.N]
 
     def one_trial(trial):

@@ -16,6 +16,13 @@ Numeric conventions, fixed here and relied on by the tests:
 * The Newton inversion behind the Voiculescu transform accepts any point it
   can invert to residual 1e-10; points with Im z >= 4x the support radius
   are always safe, and non-convergence elsewhere raises ConvergenceError.
+* Convolution powers t < 1 exist here for cumulant lists and point masses
+  only; any other measure raises ConvergenceError at once, pointing to
+  cumulant mode.
+
+G and G' are one sum over the measure, and every density output (free
+convolutions, powers, stieltjes_density) goes through one Richardson
+inversion.
 """
 
 from __future__ import annotations
@@ -53,29 +60,27 @@ def _as_points(z):
 
 def cauchy(mu: GridMeasure, z):
     """Cauchy transform G(z) = int d_mu(x) / (z - x), Im z > 0."""
-    arr = _as_points(z)
-    scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr)
-    out = np.zeros(pts.shape, dtype=complex)
-    for x, m in mu.atoms:
-        out += float(m) / (pts - float(x))
-    if mu.grid is not None:
-        xs = mu.grid.xs()
-        vals = mu.grid.values
-        out += _trapz_kernel(vals, xs, pts, power=1)
-    return out[0] if scalar else out
+    return _cauchy_sum(mu, z, 1)
 
 
 def cauchy_derivative(mu: GridMeasure, z):
+    """G'(z) = -int d_mu(x) / (z - x)^2, Im z > 0."""
+    return _cauchy_sum(mu, z, 2)
+
+
+def _cauchy_sum(mu: GridMeasure, z, power):
+    """G(z) for power 1 and G'(z) for power 2: the terms m / (z - x)^power
+    (exact over atoms, trapezoid rule on the grid) are added for G and
+    subtracted for G'."""
+    accumulate = np.add if power == 1 else np.subtract
     arr = _as_points(z)
-    scalar = arr.ndim == 0
     pts = np.atleast_1d(arr)
     out = np.zeros(pts.shape, dtype=complex)
     for x, m in mu.atoms:
-        out -= float(m) / (pts - float(x)) ** 2
+        accumulate(out, float(m) / (pts - float(x)) ** power, out=out)
     if mu.grid is not None:
-        out -= _trapz_kernel(mu.grid.values, mu.grid.xs(), pts, power=2)
-    return out[0] if scalar else out
+        accumulate(out, _trapz_kernel(mu.grid.values, mu.grid.xs(), pts, power), out=out)
+    return out[0] if arr.ndim == 0 else out
 
 
 def _trapz_kernel(vals, xs, pts, power):
@@ -199,22 +204,20 @@ def _subordination_pair(mu, nu, z: np.ndarray):
     return _accelerated_fixed_point(step, z, "subordination fixed point")
 
 
-def _richardson_density(g_values_by_eps):
-    """Extrapolate -Im G(x + i eps)/pi to eps -> 0 over the halving ladder."""
-    f1, f2, f3 = [-(g.imag) / math.pi for g in g_values_by_eps]
-    return (8.0 * f3 - 6.0 * f2 + f1) / 3.0
+def _stieltjes_inversion(evaluate_g, xs):
+    """Density at the real points xs from G on the lines x + i eps.
+
+    -Im G(x + i eps)/pi over the halving ladder INVERSION_EPSILONS is
+    Richardson-extrapolated to eps -> 0 and clipped at zero.
+    """
+    f1, f2, f3 = [-(evaluate_g(xs + 1j * eps).imag) / math.pi for eps in INVERSION_EPSILONS]
+    return np.clip((8.0 * f3 - 6.0 * f2 + f1) / 3.0, 0.0, None)
 
 
-def _stieltjes_grid(evaluate_g, lo, hi, n_points):
+def _density_measure(evaluate_g, lo, hi, n_points, target_mass) -> GridMeasure:
+    """Invert G on n_points uniform nodes over [lo, hi], rescaled to target_mass."""
     xs = np.linspace(lo, hi, n_points)
-    layers = []
-    for eps in INVERSION_EPSILONS:
-        layers.append(evaluate_g(xs + 1j * eps))
-    dens = np.clip(_richardson_density(layers), 0.0, None)
-    return xs, dens
-
-
-def _density_measure(xs, dens, target_mass) -> GridMeasure:
+    dens = _stieltjes_inversion(evaluate_g, xs)
     grid = DensityGrid(float(xs[0]), float(xs[-1]), float(xs[1] - xs[0]), dens)
     got = grid.mass()
     if got <= 0:
@@ -259,15 +262,19 @@ def free_convolve(
         omega = _subordination_pair(mu, nu, zs)
         return cauchy(mu, omega)
 
-    xs, dens = _stieltjes_grid(g_out, lo - pad, hi + pad, n_points)
-    return _density_measure(xs, dens, 1.0)
+    return _density_measure(g_out, lo - pad, hi + pad, n_points, 1.0)
 
 
 def boxplus_power(obj, t, infinitely_divisible: bool = False, n_points: int = 3001):
     """Free convolution power: cumulant sequences scale, measures re-invert.
 
     t >= 1 is always admissible; t < 1 requires the caller to assert
-    infinite divisibility via the flag.
+    infinite divisibility via the flag, and is computed for cumulant lists
+    and point masses only. Any other measure raises ConvergenceError at
+    once: it would need phi continued below the image of F, which a sampled
+    measure cannot supply, and a boxplus-infinitely divisible law has at most
+    one atom (Bercovici & Voiculescu, 1998), so no law with several atoms
+    meets the flag's precondition.
     """
     if t <= 0:
         raise TransformError(f"power must be positive, got {t}")
@@ -284,6 +291,11 @@ def boxplus_power(obj, t, infinitely_divisible: bool = False, n_points: int = 30
     atom = _is_point_mass(obj)
     if atom is not None:
         return point_mass(atom[0] * t, atom[1])
+    if t < 1:
+        raise ConvergenceError(
+            f"the boxplus power t = {t} < 1 of a measure that is not a point mass "
+            "needs phi below the image of F; use cumulant mode for t < 1"
+        )
 
     lo, hi = obj.support_bounds()
     span = hi - lo
@@ -291,18 +303,10 @@ def boxplus_power(obj, t, infinitely_divisible: bool = False, n_points: int = 30
     ghi = max(hi, t * hi) + 0.05 * span + 0.25
     mass = obj.total_mass
 
-    if t >= 1:
+    def g_out(zs):
+        return cauchy(obj, _subordination_power(obj, t, zs))
 
-        def g_out(zs):
-            return cauchy(obj, _subordination_power(obj, t, zs))
-
-    else:
-
-        def g_out(zs):
-            return _cauchy_power_small_t(obj, t, zs)
-
-    xs, dens = _stieltjes_grid(g_out, glo, ghi, n_points)
-    return _density_measure(xs, dens, mass**t if mass != 1.0 else 1.0)
+    return _density_measure(g_out, glo, ghi, n_points, mass**t if mass != 1.0 else 1.0)
 
 
 def _subordination_power(mu, t, z: np.ndarray):
@@ -312,63 +316,6 @@ def _subordination_power(mu, t, z: np.ndarray):
         return za / t + (1.0 - 1.0 / t) / cauchy(mu, wa)
 
     return _accelerated_fixed_point(step, z, "power subordination")
-
-
-def _cauchy_power_small_t(mu, t, zs: np.ndarray):
-    """G of mu^(boxplus t) for t < 1 via Newton on w + t*phi(w) = z.
-
-    Works where the Newton target stays inside the image F_mu(H), which for
-    sampled densities excludes the strip over the support interior: there
-    phi exists only by analytic continuation below the image boundary, which
-    a discretized measure cannot provide. Points that need the continuation
-    raise ConvergenceError; fractional powers of such measures should go
-    through cumulant mode instead.
-    """
-
-    def residual(w, z):
-        try:
-            phi = _invert_f(mu, w) - w
-        except ConvergenceError:
-            return np.inf  # outside the resolved image of F
-        return w + t * phi - z
-
-    out = np.empty(zs.shape, dtype=complex)
-    flat = zs.reshape(-1)
-    res = out.reshape(-1)
-    for i, z in enumerate(flat):
-        w = z
-        resid = residual(w, z)
-        if not np.isfinite(abs(resid)):
-            raise ConvergenceError(
-                f"fractional power needs phi below the image of F at z = {z}; "
-                "use cumulant mode for t < 1"
-            )
-        for _ in range(60):
-            if abs(resid) <= NEWTON_TOL:
-                break
-            inner = _invert_f(mu, w)
-            g_in = cauchy(mu, inner)
-            fprime_in = -cauchy_derivative(mu, inner) / g_in**2
-            deriv = 1.0 + t * (1.0 / fprime_in - 1.0)
-            step = resid / deriv
-            accepted = False
-            for _ in range(25):
-                cand = w - step
-                if cand.imag > 0:
-                    new_resid = residual(cand, z)
-                    if abs(new_resid) < abs(resid):
-                        w, resid = cand, new_resid
-                        accepted = True
-                        break
-                step /= 2.0
-            if not accepted:
-                raise ConvergenceError(
-                    f"power inversion stuck at z = {z}; use cumulant mode for t < 1"
-                )
-        else:
-            raise ConvergenceError(f"power inversion did not converge at z = {z}")
-        res[i] = 1.0 / w
-    return out
 
 
 def dilate(mu: GridMeasure, s) -> GridMeasure:
@@ -442,9 +389,7 @@ def free_convolve_moments(ma, mb, n: int) -> list:
 
 def stieltjes_density(mu: GridMeasure, xs) -> np.ndarray:
     """Recover a density from a measure through its own Cauchy transform."""
-    xs = np.asarray(xs, dtype=float)
-    layers = [cauchy(mu, xs + 1j * eps) for eps in INVERSION_EPSILONS]
-    return np.clip(_richardson_density(layers), 0.0, None)
+    return _stieltjes_inversion(lambda zs: cauchy(mu, zs), np.asarray(xs, dtype=float))
 
 
 __all__ = [

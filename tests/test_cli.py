@@ -78,6 +78,14 @@ def test_levy_variation_pow2(tmp_path, capsys):
     assert data["rho"]["atoms"] == [[1.0, 1.0]]
 
 
+def test_levy_variation_steep_map(tmp_path, capsys):
+    # p(x) = 2000 x sends the jump 0.0009 to 1.8 > 1: eta' = -b x = -1.8
+    path = write_triple(tmp_path, 0.0, 0.0, [[0.0009, 1.0]])
+    code, out, _ = run(capsys, "levy", "variation", "--input", str(path), "--p", "poly:2000")
+    assert code == 0
+    assert json.loads(out)["eta"] == -1.8
+
+
 def test_levy_to_pair_semicircle(tmp_path, capsys):
     path = write_triple(tmp_path, 0.0, 1.0, [])
     code, out, _ = run(capsys, "levy", "to-pair", "--input", str(path))
@@ -136,6 +144,29 @@ def test_levy_schema_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "levy", "to-pair", "--input", str(bad))
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("action", ["to-pair", "to-triple", "variation", "cumulants"])
+def test_levy_missing_input_exit_2(capsys, action):
+    code, _, err = run(capsys, "levy", action)
+    assert code == 2
+    assert f"levy {action} needs --input" in err
+
+
+def test_levy_unreadable_input_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "levy", "to-pair", "--input", str(missing))
+    assert code == 2
+    assert str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_levy_input_not_json_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, _, err = run(capsys, "levy", "cumulants", "--input", str(bad))
+    assert code == 2
+    assert str(bad) in err
 
 
 # -- sim --------------------------------------------------------------------------
@@ -275,6 +306,13 @@ def test_sim_config_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "sim", "variation", "--config", str(cfg))
     assert code == 2
     assert err
+
+
+def test_sim_unreadable_config_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "sim", "variation", "--config", str(missing))
+    assert code == 2
+    assert str(missing) in err
 
 
 def test_sim_verification_failure_exit_1(tmp_path, capsys):

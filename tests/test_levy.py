@@ -201,6 +201,23 @@ def test_variation_linear_b_scaling():
     assert out.rho.atoms == [(Fraction(1, 2), 1)]
 
 
+def test_variation_steep_map_keeps_the_indicator_on_small_jumps():
+    # p(9/10000) = 9/5 > 1, so the indicator drops p(x) and only -b x remains
+    t = triple(0, 0, [(Fraction(9, 10000), 1)])
+    out = variation_triple(t, VariationMap.polynomial([2000]))
+    assert out.eta == Fraction(-9, 5)
+    assert out.rho.atoms == [(Fraction(9, 5), 1)]
+
+
+def test_variation_density_compensator_matches_the_formula():
+    # rho = 1 on [0, 1/2], p(x) = 4x: the indicator keeps p only for
+    # x <= 1/4, so eta' = int_{1/4}^{1/2} -4x dx = -3/8 (grid path)
+    grid = DensityGrid(0.0, 0.5, 1.0 / 4000, np.ones(2001))
+    out = variation_triple(GeneratingTriple(0.0, 0.0, LevyMeasure([], grid)),
+                           VariationMap.polynomial([4.0]))
+    assert out.eta == pytest.approx(-3.0 / 8.0, abs=2e-3)
+
+
 def test_variation_cumulant_consistency_powers():
     rng = random.Random(5)
     for k in (1, 2, 3):

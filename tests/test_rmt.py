@@ -308,6 +308,21 @@ def test_mixed_decay_is_the_public_model(mode):
     assert report.extras["m2_by_n"] == [m2]
 
 
+def test_mixed_decay_rejects_config_b_of_another_d():
+    cfg_a = small_config(d=5, trials=1, N=4)
+    cfg_b = small_config(d=4, trials=1, N=4)
+    with pytest.raises(SimError, match="one d "):
+        mixed_decay(cfg_a, cfg_b, "product")
+
+
+@pytest.mark.parametrize("field, value", [("N", 2), ("trials", 3)])
+def test_mixed_decay_rejects_config_b_with_another_schedule(field, value):
+    cfg_a = small_config(d=5, trials=1, N=4)
+    cfg_b = small_config(**{"d": 5, "trials": 1, "N": 4, field: value})
+    with pytest.raises(SimError, match=f"one {field} "):
+        mixed_decay(cfg_a, cfg_b, "anticommutator", schedule=[4])
+
+
 def test_counterexample_exact_rows():
     rows = counterexample_rows(0.25, [100, 10000])
     for row in rows:
