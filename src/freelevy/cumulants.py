@@ -8,12 +8,15 @@ coefficients [z^j] M(z)^s with s + j <= n, so n orders cost O(n^3)
 arithmetic operations and there is no bound on n.
 
 Mixed cumulants of words stay Mobius sums over NC(n), since there the
-partition lattice is the subject. Everything is exact when fed ints or
-fractions.Fraction; floats pass through unchanged when that is what the
-caller supplies.
+partition lattice is the subject. Joint moments of free variables recurse
+on the block of the first letter and form only label-constant partitions.
+Everything is exact when fed ints or fractions.Fraction; floats pass
+through unchanged when that is what the caller supplies.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .partitions import Partition, _mobius_to_top, enumerate_nc
 
@@ -123,36 +126,38 @@ def free_joint_functional(moments_by_label):
 
     Given per-label moment sequences, builds tau[word] by the free
     moment-cumulant formula: sum over NC partitions whose blocks are
-    label-constant of the product of per-label cumulants.
+    label-constant of the product of per-label cumulants. The sum runs over
+    the block V of the first letter: kappa_|V| times tau of each gap between
+    consecutive elements of V and of the tail after V, since no block of a
+    non-crossing partition leaves the gap it starts in. Only label-constant
+    partitions are formed. Raises CumulantError when a label occurs in the
+    word more often than it has cumulants.
     """
     cumulants = {
         label: moments_to_cumulants(m) for label, m in moments_by_label.items()
     }
-    cache = {}
+
+    @functools.cache
+    def joint(word):
+        return block(word[0], word[1:], 1) if word else 1
+
+    @functools.cache
+    def block(label, rest, size):
+        # the first letter's block has `size` letters, the last just before
+        # `rest`: close it here, or extend it to a later `label` in `rest`
+        total = cumulants[label][size - 1] * joint(rest)
+        for i, letter in enumerate(rest):
+            if letter == label:
+                total = total + joint(rest[:i]) * block(label, rest[i + 1 :], size + 1)
+        return total
 
     def tau(word):
         word = tuple(word)
-        if word in cache:
-            return cache[word]
-        n = len(word)
-        total = 0
-        for pi in enumerate_nc(n):
-            term = 1
-            for block in pi.blocks:
-                labels = {word[i - 1] for i in block}
-                if len(labels) > 1:
-                    term = 0
-                    break
-                (label,) = labels
-                ks = cumulants[label]
-                if len(block) > len(ks):
-                    raise CumulantError(
-                        f"cumulant of order {len(block)} required for {label!r}"
-                    )
-                term = term * ks[len(block) - 1]
-            total = total + term
-        cache[word] = total
-        return total
+        for label in set(word):
+            count = word.count(label)
+            if count > len(cumulants.get(label, ())):
+                raise CumulantError(f"cumulant of order {count} required for {label!r}")
+        return joint(word)
 
     return tau
 

@@ -10,6 +10,7 @@ two adjacent pairs sharing a generator, so x1*x1 and x1^2 are the same term.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .partitions import Composition, Partition, PartitionError, compositions
@@ -71,13 +72,27 @@ class NCPolynomial:
     __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet: str, terms=None):
+        """`terms` maps words to coefficients; words that coincide in
+        run-length form have their coefficients added."""
         self.alphabet = alphabet
         self.terms = {}
-        if terms:
-            for word, coeff in dict(terms).items():
-                c = Fraction(coeff)
-                if c != 0:
-                    self.terms[_normalize(word)] = c
+        self._add_terms(
+            (_normalize(word), Fraction(coeff)) for word, coeff in dict(terms or {}).items()
+        )
+
+    def _add_terms(self, terms) -> "NCPolynomial":
+        """Add (run-length word, Fraction coefficient) pairs in place and
+        return self; words are not normalized again, and words whose
+        coefficient sums to zero are dropped."""
+        summed = self.terms
+        for word, coeff in terms:
+            if word in summed:
+                coeff += summed[word]
+            if coeff:
+                summed[word] = coeff
+            else:
+                summed.pop(word, None)
+        return self
 
     @classmethod
     def zero(cls, alphabet: str) -> "NCPolynomial":
@@ -99,45 +114,26 @@ class NCPolynomial:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            new = terms.get(w, Fraction(0)) + c
-            if new == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = new
         out = NCPolynomial(self.alphabet)
-        out.terms = terms
-        return out
+        out.terms.update(self.terms)
+        return out._add_terms(other.terms.items())
 
     def __neg__(self):
-        out = NCPolynomial(self.alphabet)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return NCPolynomial.zero(self.alphabet)
-            out = NCPolynomial(self.alphabet)
-            out.terms = {w: c * other for w, c in self.terms.items()}
-            return out
+            terms = ((w, c * other) for w, c in self.terms.items())
+            return NCPolynomial(self.alphabet)._add_terms(terms)
         self._check_compatible(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = _normalize(w1 + w2)
-                new = terms.get(w, Fraction(0)) + c1 * c2
-                if new == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = new
-        out = NCPolynomial(self.alphabet)
-        out.terms = terms
-        return out
+        return NCPolynomial(self.alphabet)._add_terms(
+            (_normalize(w1 + w2), c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,11 +161,9 @@ class NCPolynomial:
 
     def rename(self, mapping, alphabet: str) -> "NCPolynomial":
         """Apply a generator -> generator substitution (e.g. y_j -> p_j)."""
-        terms = {}
-        for word, coeff in self.terms.items():
-            new = _normalize((mapping(g), e) for g, e in word)
-            terms[new] = terms.get(new, Fraction(0)) + coeff
-        return NCPolynomial(alphabet, terms)
+        return NCPolynomial(alphabet)._add_terms(
+            (_normalize((mapping(g), e) for g, e in word), c) for word, c in self.terms.items()
+        )
 
     def evaluate(self, values, one=None):
         """Evaluate with numbers or matrices substituted for the generators.
@@ -247,16 +241,16 @@ def p_basis(sigma: Partition) -> NCPolynomial:
         raise NCSymError(f"p_basis bound is degree {P_BASIS_MAX_DEGREE}")
     sizes = sigma.block_sizes()
     r = len(sizes)
-    terms = {}
-    for merge in compositions(r):
-        word, pos = [], 0
-        for part in merge.parts:
-            word.append((("p", sum(sizes[pos : pos + part])), 1))
-            pos += part
-        sign = (-1) ** (r - len(merge.parts))
-        w = _normalize(word)
-        terms[w] = terms.get(w, Fraction(0)) + sign
-    return NCPolynomial("p", terms)
+
+    def terms():
+        for merge in compositions(r):
+            word, pos = [], 0
+            for part in merge.parts:
+                word.append((("p", sum(sizes[pos : pos + part])), 1))
+                pos += part
+            yield _normalize(word), Fraction((-1) ** (r - len(merge.parts)))
+
+    return NCPolynomial("p")._add_terms(terms())
 
 
 def _check_expansion_bounds(degree: int, n_letters: int):
@@ -276,43 +270,26 @@ def expand_letters(poly: NCPolynomial, n_letters: int) -> NCPolynomial:
     if poly.alphabet != "p":
         raise NCSymError("expand_letters acts on p-alphabet polynomials")
     _check_expansion_bounds(poly.degree(), n_letters)
-    terms = {}
-    for word, coeff in poly.terms.items():
-        flat = _flatten(word)  # sequence of ("p", k) generators
-        indices = [0] * len(flat)
-        while True:
-            pairs = tuple(
-                (("x", indices[j] + 1), flat[j][1]) for j in range(len(flat))
-            )
-            w = _normalize(pairs)
-            new = terms.get(w, Fraction(0)) + coeff
-            if new == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = new
-            # odometer over [n_letters]^len(flat)
-            for j in range(len(flat) - 1, -1, -1):
-                indices[j] += 1
-                if indices[j] < n_letters:
-                    break
-                indices[j] = 0
-            else:
-                break
-    out = NCPolynomial("x")
-    out.terms = terms
-    return out
+
+    def terms():
+        for word, coeff in poly.terms.items():
+            flat = _flatten(word)  # sequence of ("p", k) generators
+            for letters in product(range(1, n_letters + 1), repeat=len(flat)):
+                pairs = ((("x", i), gen[1]) for i, gen in zip(letters, flat))
+                yield _normalize(pairs), coeff
+
+    return NCPolynomial("x")._add_terms(terms())
 
 
 def distinct_neighbor_bruteforce(u: Composition, n_letters: int) -> NCPolynomial:
     """Sum of x_i(1)^u(1) ... x_i(r)^u(r) over tuples with distinct neighbors."""
     _check_expansion_bounds(u.degree, n_letters)
     r = len(u.parts)
-    terms = {}
+    words = []
 
     def rec(pos, prev, word):
         if pos == r:
-            w = tuple(word)
-            terms[w] = terms.get(w, Fraction(0)) + 1
+            words.append((tuple(word), Fraction(1)))
             return
         for i in range(1, n_letters + 1):
             if i != prev:
@@ -321,9 +298,7 @@ def distinct_neighbor_bruteforce(u: Composition, n_letters: int) -> NCPolynomial
                 word.pop()
 
     rec(0, 0, [])
-    out = NCPolynomial("x")
-    out.terms = terms
-    return out
+    return NCPolynomial("x")._add_terms(words)
 
 
 def stochastic_integral_poly(k: int) -> NCPolynomial:
@@ -334,12 +309,10 @@ def stochastic_integral_poly(k: int) -> NCPolynomial:
     """
     if not (1 <= k <= SERIES_MAX_ORDER):
         raise NCSymError(f"k must be in 1..{SERIES_MAX_ORDER}, got {k}")
-    terms = {}
-    for c in compositions(k):
-        sign = (-1) ** (k - len(c.parts))
-        word = _normalize((("y", m), 1) for m in c.parts)
-        terms[word] = terms.get(word, Fraction(0)) + sign
-    return NCPolynomial("y", terms)
+    return NCPolynomial("y")._add_terms(
+        (_normalize((("y", m), 1) for m in c.parts), Fraction((-1) ** (k - len(c.parts))))
+        for c in compositions(k)
+    )
 
 
 def psi_poly(n: int) -> NCPolynomial:

@@ -125,6 +125,11 @@ def _invert_f(mu: GridMeasure, z: complex) -> complex:
         if abs(residual) <= NEWTON_TOL:
             return w
         fprime = -cauchy_derivative(mu, w) / g**2
+        if fprime == 0:
+            raise ConvergenceError(
+                f"F-inversion reached a critical point of F (F'(w) = 0) at w = {w} "
+                f"for z = {z}"
+            )
         step = residual / fprime
         # keep the iterate in the trusted part of the upper half-plane
         for _ in range(60):

@@ -250,8 +250,11 @@ def test_criterion_9_variation_convergence():
     gap of the pre-limit law, e.g. the exact first moment at N=64 is
     1 + 1/64 = 1.015625, about eleven across-trial standard errors at this
     dimension and trial count, so |z| <= 4 against the limit is not
-    attainable at these parameters; the report's finite_n_reference column
-    shows the simulation agreeing with the exact pre-limit law.
+    attainable at these parameters. Against the report's finite_n_reference
+    column, the exact pre-limit law, the detail line prints z = 2.0, 3.3,
+    3.9, 4.2 for orders 1-4: much closer, but beyond normal Monte Carlo
+    fluctuation from order 2 up. That rest is the O(1/d) bias of sampling
+    the marks at finite dimension (ROADMAP item 2).
     """
     crit = Criterion(9, 180)
     cfg = SimConfig(

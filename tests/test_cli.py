@@ -1,9 +1,13 @@
+import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from freelevy.cli import main
+from freelevy.cli import _load_sim_config, _ManifestWriter, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(capsys, *argv):
@@ -306,6 +310,51 @@ def test_sim_config_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "sim", "variation", "--config", str(cfg))
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"lam": 0.0}, {"lam": -0.5}, {"lam": math.nan}, {"jump": [[math.nan, 1.0]]},
+     {"jump": [[1.0, 1.5], [2.0, -0.5]]}],
+)
+def test_sim_mixed_rejects_degenerate_laws_exit_2(tmp_path, capsys, field):
+    cfg = write_config(tmp_path, d=4, N=8, **field)
+    code, out, err = run(capsys, "sim", "mixed", "--config", str(cfg))
+    assert code == 2
+    assert next(iter(field)) in err
+    assert "PASS" not in out
+
+
+def test_sim_mixed_without_mixed_mass_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, d=4, N=16, lam=1e-9)
+    code, out, _ = run(capsys, "sim", "mixed", "--config", str(cfg))
+    assert code == 1
+    assert out.strip().splitlines()[-1].startswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "name, subcommand",
+    [("cp1", "variation"), ("identity_small", "identity"), ("mixed", "mixed"),
+     ("counterexample", "mixed"), ("matcauchy", "matcauchy")],
+)
+def test_example_config_loads_under_its_subcommand(name, subcommand):
+    path = CONFIGS / f"{name}.json"
+    manifest = _ManifestWriter("sim", argparse.Namespace())
+    cfg, raw = _load_sim_config(path, subcommand, manifest)
+    # every field is spelled out in the file, none falls back to a default
+    assert cfg.to_json() == {key: raw[key] for key in cfg.to_json()}
+
+
+@pytest.mark.parametrize(
+    "name, subcommand, verdict",
+    [("identity_small", "identity", "PASS"), ("counterexample", "mixed", "PASS"),
+     ("matcauchy", "matcauchy", "matcauchy k=2 d=200")],
+)
+def test_example_config_runs(tmp_path, capsys, name, subcommand, verdict):
+    config = str(CONFIGS / f"{name}.json")
+    code, out, _ = run(capsys, "sim", subcommand, "--config", config, "--out", str(tmp_path))
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith(verdict)
 
 
 def test_sim_unreadable_config_exit_2(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,21 @@ def nc_sum_oracle(values, n, mobius=True):
         for b in pi.blocks:
             term *= values[len(b) - 1]
         total += term
+    return total
+
+
+def joint_moment_oracle(cumulants, word):
+    """The free moment-cumulant sum by filtering NC(n): each label-constant
+    partition of the word weighted by the product of its blocks' cumulants."""
+    total = 0
+    for pi in enumerate_nc(len(word)):
+        term = 1
+        for block in pi.blocks:
+            if len({word[i - 1] for i in block}) > 1:
+                term = 0
+                break
+            term = term * cumulants[word[block[0] - 1]][len(block) - 1]
+        total = total + term
     return total
 
 
@@ -179,6 +196,51 @@ def test_mixed_vanishing_exhaustive(n):
 def test_free_joint_functional_factorizes():
     tau = free_joint_functional({"a": [Fraction(2, 3)], "b": [Fraction(5, 2)]})
     assert tau(("a", "b")) == Fraction(2, 3) * Fraction(5, 2)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_free_joint_functional_matches_the_nc_filter_sum(kind, monkeypatch):
+    def no_listing(n):
+        raise AssertionError("free_joint_functional listed NC(n)")
+
+    monkeypatch.setattr("freelevy.cumulants.enumerate_nc", no_listing)
+    rng = random.Random(20261018)
+
+    def value():
+        if kind == "float":
+            return rng.uniform(-2.0, 2.0)
+        return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+
+    for _ in range(30):
+        labels = "abc"[: rng.randint(1, 3)]
+        laws = {label: [value() for _ in range(8)] for label in labels}
+        cumulants = {label: moments_to_cumulants(m) for label, m in laws.items()}
+        tau = free_joint_functional(laws)
+        for _ in range(8):
+            word = tuple(rng.choice(labels) for _ in range(rng.randint(1, 8)))
+            got, want = tau(word), joint_moment_oracle(cumulants, word)
+            if kind == "float":
+                # the sums cancel heavily, so the scale is the sum of |terms|
+                scale = joint_moment_oracle(
+                    {label: [abs(k) for k in ks] for label, ks in cumulants.items()}, word
+                )
+                assert abs(got - want) <= 1e-12 * max(1.0, scale), (word, got, want)
+            else:
+                assert got == want and type(got) is type(want), (word, got, want)
+
+
+def test_free_joint_functional_needs_a_cumulant_per_occurrence():
+    laws = {"a": [Fraction(1, 2), 3], "b": [-2]}  # "c" has no cumulants
+    supplied = {"a": 2, "b": 1, "c": 0}
+    cumulants = {label: moments_to_cumulants(m) for label, m in laws.items()}
+    tau = free_joint_functional(laws)
+    for n in range(1, 5):
+        for word in itertools.product("abc", repeat=n):
+            if any(word.count(label) > supplied[label] for label in word):
+                with pytest.raises(CumulantError):
+                    tau(word)
+            else:
+                assert tau(word) == joint_moment_oracle(cumulants, word)
 
 
 # -- power sum joint cumulants ----------------------------------------------

@@ -25,6 +25,14 @@ def mono(alphabet, *gens):
 # -- bases ---------------------------------------------------------------
 
 
+def test_constructor_adds_words_that_normalize_to_one():
+    x1 = ("x", 1)
+    poly = NCPolynomial("x", {((x1, 1), (x1, 1)): 1, ((x1, 2),): 1})
+    assert poly.terms == {((x1, 2),): Fraction(2)}
+    assert str(poly) == "2*x1*x1"
+    assert not NCPolynomial("x", {((x1, 1), (x1, 1)): 1, ((x1, 2),): -1})
+
+
 def test_q_basis_reads_block_sizes():
     assert q_basis(Partition(3, [(1, 2), (3,)])) == mono("p", ("p", 2), ("p", 1))
     assert q_basis(Partition(3, [(1,), (2, 3)])) == mono("p", ("p", 1), ("p", 2))

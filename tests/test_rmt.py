@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from freelevy.measures import semicircle
 from freelevy.rmt import (
     SimConfig,
     SimError,
+    _neighbor_distinct_sum,
     counterexample_rows,
     esd,
     hermitize,
@@ -46,6 +49,21 @@ def test_config_validation():
         small_config(jump=[[1.0, 0.5]])
     with pytest.raises(SimError):
         small_config(t=1.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5, math.nan, math.inf])
+def test_config_rejects_a_rate_that_is_not_positive_and_finite(lam):
+    with pytest.raises(SimError, match="lam"):
+        small_config(lam=lam)
+
+
+@pytest.mark.parametrize(
+    "jump",
+    [[[math.nan, 1.0]], [[math.inf, 1.0]], [[1.0, math.nan]], [[1.0, 1.5], [2.0, -0.5]]],
+)
+def test_config_rejects_jump_laws_that_are_not_finite_probabilities(jump):
+    with pytest.raises(SimError, match="jump"):
+        small_config(jump=jump)
 
 
 def test_config_json_roundtrip():
@@ -262,10 +280,38 @@ def test_identity_suite(n, k):
     assert report.passed, report.extras
 
 
+def neighbor_distinct_bruteforce(increments, k):
+    """The sum of X_(i1) ... X_(ik) over all N (N-1)^(k-1) index tuples with
+    distinct neighbors."""
+    total = np.zeros_like(increments[0])
+    for tup in itertools.product(range(len(increments)), repeat=k):
+        if all(a != b for a, b in zip(tup, tup[1:])):
+            prod = increments[tup[0]]
+            for i in tup[1:]:
+                prod = prod @ increments[i]
+            total = total + prod
+    return total
+
+
+def test_neighbor_distinct_sum_matches_the_tuple_bruteforce():
+    rng = stream(3, 0, "identity")
+    for n in range(1, 7):
+        increments = [sample_gue(4, rng) / n for _ in range(n)]
+        for k in range(1, 6):
+            want = neighbor_distinct_bruteforce(increments, k)
+            got = _neighbor_distinct_sum(increments, k)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (n, k)
+
+
+def test_identity_at_the_campaigns_step_count():
+    report = verify_integral_identity(small_config(d=6, trials=1, N=64), 5)
+    assert report.passed
+    assert report.extras["relative_error"] <= 1e-10
+
+
 def test_identity_bounds():
-    cfg = small_config(N=7)
-    with pytest.raises(SimError):
-        verify_integral_identity(cfg, 2)
+    # any N runs; k is bounded since the right side has 2^(k-1) terms
+    assert verify_integral_identity(small_config(d=10, trials=1, N=7), 2).passed
     with pytest.raises(SimError):
         verify_integral_identity(small_config(N=4), 6)
 
@@ -321,6 +367,14 @@ def test_mixed_decay_rejects_config_b_with_another_schedule(field, value):
     cfg_b = small_config(**{"d": 5, "trials": 1, "N": 4, field: value})
     with pytest.raises(SimError, match=f"one {field} "):
         mixed_decay(cfg_a, cfg_b, "anticommutator", schedule=[4])
+
+
+def test_mixed_decay_without_mixed_mass_fails():
+    # at lam = 1e-9 no coordinate fires, so m2 is 0 at every schedule point
+    cfg = small_config(d=4, trials=2, N=16, lam=1e-9)
+    report = mixed_decay(cfg, cfg, "anticommutator")
+    assert report.extras["m2_by_n"] == [0.0, 0.0]
+    assert not report.passed
 
 
 def test_counterexample_exact_rows():
@@ -394,14 +448,13 @@ def test_freeness_proxy_independent_gues():
     h1 = sample_gue(d, stream(31, 0, "gue_a"))
     h2 = sample_gue(d, stream(31, 0, "gue_b"))
 
+    @functools.lru_cache(maxsize=None)
     def tau(word):
         prod = None
         for label in word:
             m = h1 if label == "a" else h2
             prod = m if prod is None else prod @ m
         return float(np.trace(prod).real) / d
-
-    import itertools
 
     for length in (2, 3, 4):
         for word in itertools.product("ab", repeat=length):

@@ -96,6 +96,13 @@ def test_inversion_cone_height():
     assert inversion_cone_height(point_mass(-3.0)) == pytest.approx(12.0)
 
 
+def test_voiculescu_stops_at_a_critical_point_of_f():
+    # G of (delta_-1 + delta_1)/2 is w / (w^2 - 1), so G'(i) = 0 and the
+    # Newton iteration from w0 = z = i sits on the critical point of F
+    with pytest.raises(ConvergenceError, match=r"critical point .* w = 1j for z = 1j"):
+        voiculescu(bernoulli_symmetric(), 1j)
+
+
 def test_voiculescu_semicircle():
     # the residual tracks the sampled measure's moment defect (~h^1.5),
     # so the 1e-8 target needs a fine synthesis grid
