@@ -45,6 +45,7 @@ from .rmt import (
     CONFIG_EXTRAS,
     SimConfig,
     SimError,
+    _is_integer,
     histogram_csv_lines,
     matricial_cauchy,
     mixed_decay,
@@ -290,12 +291,13 @@ def cmd_sim(args, manifest) -> int:
     out_dir = Path(args.out) if args.out else None
     threads = args.threads or 1
 
+    k = raw.get("k", 2)
+    if not _is_integer(k):
+        raise SimError(f"k must be an integer, got {k!r}")
     if args.subcommand == "variation":
-        k = int(raw.get("k", 2))
         report = verify_variation(cfg, k, threads=threads)
         stem = f"variation_k{k}"
     elif args.subcommand == "identity":
-        k = int(raw.get("k", 2))
         report = verify_integral_identity(cfg, k, threads=threads)
         stem = f"identity_k{k}"
     elif args.subcommand == "mixed":

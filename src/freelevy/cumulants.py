@@ -9,7 +9,8 @@ arithmetic operations and there is no bound on n.
 
 Mixed cumulants of words stay Mobius sums over NC(n), since there the
 partition lattice is the subject. Joint moments of free variables recurse
-on the block of the first letter and form only label-constant partitions.
+on the block of the first letter and form only label-constant partitions;
+transforms.py builds its moment-level free sums and products on them.
 Everything is exact when fed ints or fractions.Fraction; floats pass
 through unchanged when that is what the caller supplies.
 """

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -57,6 +58,11 @@ class SimError(ValueError):
     """Configuration violates the model's preconditions."""
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools and all else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SimConfig:
     d: int
@@ -70,6 +76,9 @@ class SimConfig:
     alpha: float | None = None  # infinitesimal counterexample mode only
 
     def __post_init__(self):
+        for name in ("d", "trials", "master_seed", "N", "k_max"):
+            if not _is_integer(getattr(self, name)):
+                raise SimError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d < 2:
             raise SimError(f"dimension must be >= 2, got {self.d}")
         if self.trials < 1:
@@ -522,6 +531,12 @@ def mixed_decay(
     "square-of-sum" is the infinitesimal counterexample: it ignores
     config_b and reports the exact scalar quadratic sums for alpha from
     config_a, which diverge like 2 t N^(1 - 2 alpha)."""
+    if schedule is not None:
+        if not isinstance(schedule, (list, tuple)):
+            raise SimError(f"schedule must be a list of positive integers, got {schedule!r}")
+        for n in schedule:
+            if not (_is_integer(n) and n > 0):
+                raise SimError(f"schedule entry {n!r} is not a positive integer")
     if mode == "square-of-sum":
         if config_a.alpha is None:
             raise SimError("counterexample mode needs the alpha field")

@@ -22,25 +22,25 @@ Numeric conventions, fixed here and relied on by the tests:
 
 G and G' are one sum over the measure, and every density output (free
 convolutions, powers, stieltjes_density) goes through one Richardson
-inversion.
+inversion. The moment-level free sum and product are words in the one joint
+moment functional of cumulants.py, with no order bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .cumulants import moments_to_cumulants
+from .cumulants import free_joint_functional
 from .measures import DensityGrid, GridMeasure, MeasureError, point_mass
-from .partitions import enumerate_nc, kreweras
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
 SUBORDINATION_TOL = 1e-10
 SUBORDINATION_MAX_ITER = 500
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 200
-FREE_MULTIPLY_BOUND = 8
 
 
 class TransformError(ValueError):
@@ -341,31 +341,17 @@ def dilate(mu: GridMeasure, s) -> GridMeasure:
 
 
 def free_multiply_moments(ma, mb, n: int) -> list:
-    """First n moments of a b for free a, b (a supported on the positive axis).
+    """First n moments tau((ab)^m) of the product ab of free a, b.
 
-    m_n(ab) = sum over NC(n) of kappa_pi(a) * m_(K(pi))(b), with K the
-    Kreweras complement; exact for exact inputs.
+    Each is the joint moment of the word (ab)^m under the free joint moment
+    functional; for a >= 0 these are the moments of a^(1/2) b a^(1/2).
+    Exact for exact inputs, with no bound on n.
     """
-    if n > FREE_MULTIPLY_BOUND:
-        raise TransformError(f"free_multiply_moments bound is n <= {FREE_MULTIPLY_BOUND}")
     ma, mb = list(ma), list(mb)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each factor")
-    ka = moments_to_cumulants(ma[:n])
-    out = []
-    for order in range(1, n + 1):
-        total = 0
-        for pi in enumerate_nc(order):
-            term = 1
-            for block in pi.blocks:
-                term = term * ka[len(block) - 1]
-            if term == 0:
-                continue
-            for block in kreweras(pi).blocks:
-                term = term * mb[len(block) - 1]
-            total = total + term
-        out.append(total)
-    return out
+    tau = free_joint_functional({"a": ma[:n], "b": mb[:n]})
+    return [tau(("a", "b") * order) for order in range(1, n + 1)]
 
 
 def free_convolve_moments(ma, mb, n: int) -> list:
@@ -375,21 +361,14 @@ def free_convolve_moments(ma, mb, n: int) -> list:
     moment functional, so the result is independent of cumulant additivity
     (which the tests then verify against it).
     """
-    from .cumulants import free_joint_functional
-
     ma, mb = list(ma), list(mb)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each summand")
     tau = free_joint_functional({"a": ma[:n], "b": mb[:n]})
-    out = []
-    import itertools
-
-    for order in range(1, n + 1):
-        total = 0
-        for word in itertools.product("ab", repeat=order):
-            total = total + tau(word)
-        out.append(total)
-    return out
+    return [
+        sum(tau(word) for word in itertools.product("ab", repeat=order))
+        for order in range(1, n + 1)
+    ]
 
 
 def stieltjes_density(mu: GridMeasure, xs) -> np.ndarray:

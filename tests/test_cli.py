@@ -325,6 +325,27 @@ def test_sim_mixed_rejects_degenerate_laws_exit_2(tmp_path, capsys, field):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("schedule", [[0, 4], [-4, 4], [2.5, 4], [True, 4], "8"])
+def test_sim_mixed_bad_schedule_exit_2(tmp_path, capsys, schedule):
+    cfg = write_config(tmp_path, d=4, N=4, schedule=schedule)
+    code, out, err = run(capsys, "sim", "mixed", "--config", str(cfg))
+    assert code == 2
+    assert "schedule" in err and repr(schedule[0]) in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 2.7), ("k", True), ("k", "2"), ("k_max", True), ("N", 4.0), ("d", 40.5)],
+)
+def test_sim_non_integer_field_exit_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, **{field: value})
+    code, out, err = run(capsys, "sim", "variation", "--config", str(cfg))
+    assert code == 2
+    assert f"{field} must be an integer" in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
 def test_sim_mixed_without_mixed_mass_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, d=4, N=16, lam=1e-9)
     code, out, _ = run(capsys, "sim", "mixed", "--config", str(cfg))

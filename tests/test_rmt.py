@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ def test_config_rejects_a_rate_that_is_not_positive_and_finite(lam):
 def test_config_rejects_jump_laws_that_are_not_finite_probabilities(jump):
     with pytest.raises(SimError, match="jump"):
         small_config(jump=jump)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", 40.0), ("d", "40"), ("trials", True), ("master_seed", 1.5), ("N", 4.0),
+     ("k_max", True), ("k_max", 2.7)],
+)
+def test_config_rejects_integer_fields_that_are_not_integers(field, value):
+    with pytest.raises(SimError, match=f"{field} must be an integer"):
+        small_config(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = small_config(d=np.int64(40), N=np.int32(8), k_max=np.int64(3))
+    assert (cfg.d, cfg.N, cfg.k_max) == (40, 8, 3)
 
 
 def test_config_json_roundtrip():
@@ -367,6 +383,19 @@ def test_mixed_decay_rejects_config_b_with_another_schedule(field, value):
     cfg_b = small_config(**{"d": 5, "trials": 1, "N": 4, field: value})
     with pytest.raises(SimError, match=f"one {field} "):
         mixed_decay(cfg_a, cfg_b, "anticommutator", schedule=[4])
+
+
+@pytest.mark.parametrize("mode", ["anticommutator", "square-of-sum"])
+@pytest.mark.parametrize(
+    "schedule, named", [([0, 4], "0"), ([-4, 4], "-4"), ([2.5, 4], "2.5"),
+                        ([True, 4], "True"), ("8", "'8'"), (8, "8")],
+)
+def test_mixed_decay_rejects_a_schedule_entry_that_is_not_a_positive_int(
+    mode, schedule, named
+):
+    cfg = small_config(d=4, trials=1, N=4, alpha=0.25)
+    with pytest.raises(SimError, match=f"schedule .*{re.escape(named)}"):
+        mixed_decay(cfg, cfg, mode, schedule=schedule)
 
 
 def test_mixed_decay_without_mixed_mass_fails():

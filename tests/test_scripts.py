@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from freelevy.rmt import counterexample_rows
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,3 +50,19 @@ def test_mixed_decay_trend_prints_its_table():
     label, ratio = lines[5].split(": ")
     assert label == "decay ratio (last/first)"
     assert float(ratio) == pytest.approx(float(rows[-1][1]) / float(rows[0][1]), abs=1e-3)
+
+
+def test_counterexample_table_prints_its_rows():
+    proc = run_script("counterexample_table.py", "--alpha", "0.25", "--ns", "100,10000")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["alpha=0.25", "t=1.0"]
+    assert lines[1].split()[0] == "N"
+    printed = [line.split() for line in lines[2:]]
+    rows = counterexample_rows(0.25, [100, 10000], 1.0)
+    assert len(printed) == len(rows)
+    for fields, row in zip(printed, rows):
+        assert int(fields[0]) == row["N"]
+        # every value is printed to 6 decimals
+        for text, key in zip(fields[1:], ("quadratic_sum", "reference", "ratio")):
+            assert abs(float(text) - row[key]) <= 5e-7, (key, text, row[key])

@@ -1,4 +1,7 @@
+import functools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from freelevy.measures import (
     semicircle_density,
     two_point,
 )
+from freelevy.partitions import enumerate_nc, kreweras
 from freelevy.transforms import (
     ConvergenceError,
     TransformError,
@@ -282,6 +286,72 @@ def test_free_multiply_projection_matches_monte_carlo():
         acc += np.trace(ab @ ab).real / d
     acc /= reps
     assert acc == pytest.approx(3.0 / 16.0, abs=0.01)
+
+
+@functools.cache
+def kreweras_pairs(n):
+    """(block sizes of pi, block sizes of K(pi)) for every pi in NC(n)."""
+    return [
+        ([len(b) for b in pi.blocks], [len(b) for b in kreweras(pi).blocks])
+        for pi in enumerate_nc(n)
+    ]
+
+
+def kreweras_sum_oracle(ma, mb, n):
+    """m_order(ab) = sum over NC(order) of kappa_pi(a) * m_K(pi)(b), order <= n
+    (Nica & Speicher, Lecture 14), each with the sum of |terms| as its scale."""
+    ka = moments_to_cumulants(ma[:n])
+    out = []
+    for order in range(1, n + 1):
+        total, scale = 0, 0
+        for pi_sizes, k_sizes in kreweras_pairs(order):
+            term = math.prod(ka[s - 1] for s in pi_sizes)
+            term *= math.prod(mb[s - 1] for s in k_sizes)
+            total, scale = total + term, scale + abs(term)
+        out.append((total, scale))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_free_multiply_moments_matches_the_kreweras_sum(kind, monkeypatch):
+    def no_listing(n):
+        raise AssertionError("free_multiply_moments listed NC(n)")
+
+    rng = random.Random(20261018)
+
+    def value():
+        if kind == "float":
+            return rng.uniform(-2.0, 2.0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        ma, mb = [value() for _ in range(n)], [value() for _ in range(n)]
+        # a third of the laws are centred in a, a third in b
+        if trial % 3 == 1:
+            ma[0] = 0 * ma[0]
+        elif trial % 3 == 2:
+            mb[0] = 0 * mb[0]
+        want = kreweras_sum_oracle(ma, mb, n)
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("freelevy") and hasattr(module, "enumerate_nc"):
+                    patch.setattr(module, "enumerate_nc", no_listing)
+            got = free_multiply_moments(ma, mb, n)
+        assert len(got) == n
+        for order, (g, (w, scale)) in enumerate(zip(got, want), start=1):
+            if kind == "float":
+                assert abs(g - w) <= 1e-12 * scale, (order, g, w, scale)
+            else:
+                assert g == w and type(g) is Fraction, (order, g, w)
+
+
+def test_free_multiply_moments_above_the_old_bound():
+    # MP(1) boxtimes MP(1) has the Fuss-Catalan moments C(3n, n) / (2n + 1)
+    n = 16
+    catalan = free_poisson_moments(1, n)
+    got = free_multiply_moments(catalan, catalan, n)
+    assert got == [math.comb(3 * m, m) // (2 * m + 1) for m in range(1, n + 1)]
 
 
 def test_belinschi_nica_identity_moment_level():
