@@ -46,6 +46,7 @@ from .rmt import (
     SimConfig,
     SimError,
     _is_integer,
+    _is_real,
     histogram_csv_lines,
     matricial_cauchy,
     mixed_decay,
@@ -279,11 +280,24 @@ def _write_report(report, out_dir: Path, stem: str, manifest) -> None:
         )
 
 
-def _complex_matrix(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
-    return np.array(rows, dtype=complex)
+def _real_array(value, ndim: int):
+    """value as a float array with ndim axes, or None if it is not one."""
+    arr = np.array(value, dtype=object)
+    if arr.ndim == ndim and all(_is_real(v) for v in arr.flat):
+        return arr.astype(float)
+    return None
+
+
+def _matcauchy_inputs(raw):
+    """B as a complex matrix from its [re, im] entries, and the A matrices."""
+    b = _real_array(raw.get("B"), 3)
+    if b is None or b.shape[2] != 2:
+        raise SimError("sim matcauchy needs 'B': a k x k matrix of [re, im] entries")
+    a = raw.get("A")
+    a_mats = [_real_array(m, 2) for m in a] if isinstance(a, list) else None
+    if a_mats is None or any(m is None for m in a_mats):
+        raise SimError("sim matcauchy needs 'A': a list of real k x k matrices")
+    return b[..., 0] + 1j * b[..., 1], a_mats
 
 
 def cmd_sim(args, manifest) -> int:
@@ -303,15 +317,16 @@ def cmd_sim(args, manifest) -> int:
     elif args.subcommand == "mixed":
         mode = raw.get("mode", "anticommutator")
         schedule = raw.get("schedule")
-        threshold = float(raw.get("decay_threshold", 0.15))
+        threshold = raw.get("decay_threshold", 0.15)
+        if not _is_real(threshold):
+            raise SimError(f"decay_threshold must be a real number, got {threshold!r}")
         report = mixed_decay(
             cfg, cfg, mode, schedule=schedule, threads=threads,
-            decay_threshold=threshold,
+            decay_threshold=float(threshold),
         )
         stem = f"mixed_{mode.replace('-', '_')}"
     elif args.subcommand == "matcauchy":
-        b_mat = _complex_matrix(raw["B"])
-        a_mats = [np.array(a, dtype=float) for a in raw["A"]]
+        b_mat, a_mats = _matcauchy_inputs(raw)
         x_mats = [
             sample_gue(cfg.d, stream(cfg.master_seed, i, "gue_a"))
             for i in range(len(a_mats))

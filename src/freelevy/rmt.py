@@ -63,6 +63,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy reals (Fractions too); False for bools and all else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SimConfig:
     d: int
@@ -79,6 +84,11 @@ class SimConfig:
         for name in ("d", "trials", "master_seed", "N", "k_max"):
             if not _is_integer(getattr(self, name)):
                 raise SimError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("t", "lam") + (("alpha",) if self.alpha is not None else ()):
+            if not _is_real(getattr(self, name)):
+                raise SimError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not all(_is_real(v) for pair in self.jump for v in pair):
+            raise SimError(f"jump atoms and masses must be real numbers, got {self.jump!r}")
         if self.d < 2:
             raise SimError(f"dimension must be >= 2, got {self.d}")
         if self.trials < 1:
@@ -371,7 +381,11 @@ def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
 
 def verify_variation(config: SimConfig, k: int, threads: int = 1) -> SimReport:
     """Moments of sum X_i^k against the exact variation law, plus the
-    Frobenius-distance proxy to s e(t)^k s along a doubling schedule."""
+    Frobenius-distance proxy to s e(t)^k s along a doubling schedule.
+    The z-scores divide by the across-trial standard error, so it needs
+    at least 2 trials."""
+    if config.trials < 2:
+        raise SimError(f"a standard error needs at least 2 trials, got {config.trials}")
     orders = config.k_max
     predicted = predicted_variation_moments(config, k, orders)
     finite_reference = finite_n_power_sum_moments(config, k, orders)
@@ -397,11 +411,7 @@ def verify_variation(config: SimConfig, k: int, threads: int = 1) -> SimReport:
     all_pass = True
     for j in range(orders):
         mean = float(moment_rows[:, j].mean())
-        stderr = (
-            float(moment_rows[:, j].std(ddof=1)) / math.sqrt(config.trials)
-            if config.trials > 1
-            else 0.0
-        )
+        stderr = float(moment_rows[:, j].std(ddof=1)) / math.sqrt(config.trials)
         if stderr > 0:
             z = (mean - predicted[j]) / stderr
         else:

@@ -9,13 +9,16 @@ Numeric conventions, fixed here and relied on by the tests:
   the O(eps) and O(eps^2) terms); densities are clipped at zero and
   renormalized to the exact output mass, since the trapezoid rule alone
   loses O(h^(3/2)) mass at square-root edges.
-* Subordination iterates the Pick-function fixed point in F-transform form
-  to tolerance 1e-10, with Steffensen acceleration and a half-step fallback
-  when the extrapolated iterate misbehaves (the plain map stalls where its
-  contraction factor degenerates to 1, e.g. at arcsine-type edges).
-* The Newton inversion behind the Voiculescu transform accepts any point it
-  can invert to residual 1e-10; points with Im z >= 4x the support radius
-  are always safe, and non-convergence elsewhere raises ConvergenceError.
+* One fixed-point solver, vectorised over points, serves every iteration:
+  Steffensen acceleration with a half-step fallback when the extrapolated
+  iterate misbehaves (the plain map stalls where its contraction factor
+  degenerates to 1, e.g. at arcsine-type edges), to tolerance 1e-10.
+  Subordination iterates the Pick-function fixed point in F-transform form.
+* The Voiculescu transform solves F(w) = z as the fixed point of
+  w -> z - h(w), h = F - id, so the stop test is the residual |z - F(w)|.
+  Points with Im z >= 4x the support radius always converge; an iterate at
+  Im w <= 3 grid steps, where the sampled G is not trusted, raises
+  ConvergenceError.
 * Convolution powers t < 1 exist here for cumulant lists and point masses
   only; any other measure raises ConvergenceError at once, pointing to
   cumulant mode.
@@ -37,10 +40,8 @@ from .cumulants import free_joint_functional
 from .measures import DensityGrid, GridMeasure, MeasureError, point_mass
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
-SUBORDINATION_TOL = 1e-10
-SUBORDINATION_MAX_ITER = 500
-NEWTON_TOL = 1e-10
-NEWTON_MAX_ITER = 200
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 500
 
 
 class TransformError(ValueError):
@@ -48,7 +49,7 @@ class TransformError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A fixed point or Newton iteration failed to converge."""
+    """A fixed-point iteration failed to converge or left the trusted half-plane."""
 
 
 def _as_points(z):
@@ -100,59 +101,7 @@ def _trapz_kernel(vals, xs, pts, power):
     return out
 
 
-def voiculescu(mu: GridMeasure, z):
-    """phi(z) = F^(-1)(z) - z, by Newton iteration on F(w) = z from w0 = z."""
-    arr = _as_points(z)
-    scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr).reshape(-1)
-    out = np.empty(pts.shape, dtype=complex)
-    for i, zi in enumerate(pts):
-        out[i] = _invert_f(mu, zi) - zi
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.atleast_1d(arr).shape)
-
-
-def _invert_f(mu: GridMeasure, z: complex) -> complex:
-    # below ~3 grid steps the trapezoid-sampled G wiggles between nodes and
-    # grows spurious roots of F(w) = z, so the iterate must stay above that
-    floor = 3.0 * mu.grid.h if mu.grid is not None else 0.0
-    w = z
-    for _ in range(NEWTON_MAX_ITER):
-        g = cauchy(mu, w)
-        f = 1.0 / g
-        residual = f - z
-        if abs(residual) <= NEWTON_TOL:
-            return w
-        fprime = -cauchy_derivative(mu, w) / g**2
-        if fprime == 0:
-            raise ConvergenceError(
-                f"F-inversion reached a critical point of F (F'(w) = 0) at w = {w} "
-                f"for z = {z}"
-            )
-        step = residual / fprime
-        # keep the iterate in the trusted part of the upper half-plane
-        for _ in range(60):
-            if (w - step).imag > floor:
-                break
-            step /= 2.0
-        else:
-            raise ConvergenceError(
-                f"F-inversion left the resolved upper half-plane at z = {z}"
-            )
-        w = w - step
-    raise ConvergenceError(
-        f"F-inversion did not reach residual {NEWTON_TOL} at z = {z} "
-        "(point outside the inversion cone)"
-    )
-
-
-def inversion_cone_height(mu: GridMeasure) -> float:
-    """Height above which the Newton inversion of F is always safe."""
-    return 4.0 * mu.support_radius()
-
-
-# -- subordination ------------------------------------------------------------
+# -- fixed points: subordination and F-inversion ----------------------------
 
 
 def _h_fun(mu, w):
@@ -160,7 +109,7 @@ def _h_fun(mu, w):
 
 
 def _accelerated_fixed_point(step, z: np.ndarray, what: str):
-    """Solve w = step(z, w) pointwise over z, to SUBORDINATION_TOL in w.
+    """Solve w = step(z, w) pointwise over z, to FIXED_POINT_TOL in w.
 
     Picard iteration with Steffensen (Aitken delta-squared) acceleration: the
     contraction factor of the plain map approaches 1 near density edges, so
@@ -170,12 +119,12 @@ def _accelerated_fixed_point(step, z: np.ndarray, what: str):
     """
     w = z.astype(complex).copy()
     active = np.ones(w.shape, dtype=bool)
-    for _ in range(SUBORDINATION_MAX_ITER):
+    for _ in range(FIXED_POINT_MAX_ITER):
         wa = w[active]
         za = z[active]
         w1 = step(za, wa)
         resid = np.abs(w1 - wa)
-        done = resid <= SUBORDINATION_TOL * np.maximum(1.0, np.abs(w1))
+        done = resid <= FIXED_POINT_TOL * np.maximum(1.0, np.abs(w1))
         w2 = step(za, w1)
         denom = w2 - 2.0 * w1 + wa
         safe = np.abs(denom) > 1e-280
@@ -209,6 +158,32 @@ def _subordination_pair(mu, nu, z: np.ndarray):
     return _accelerated_fixed_point(step, z, "subordination fixed point")
 
 
+def voiculescu(mu: GridMeasure, z):
+    """phi(z) = F^(-1)(z) - z, with F^(-1)(z) the fixed point of w -> z - h(w)."""
+    arr = _as_points(z)
+    pts = np.atleast_1d(arr)
+    # below ~3 grid steps the trapezoid-sampled G wiggles between nodes and
+    # grows spurious roots of F(w) = z, so the iterate must stay above that
+    floor = 3.0 * mu.grid.h if mu.grid is not None else 0.0
+
+    def step(za, wa):
+        low = wa.imag <= floor
+        if low.any():
+            raise ConvergenceError(
+                f"F-inversion left the resolved upper half-plane at z = {za[low][0]}"
+            )
+        return za - _h_fun(mu, wa)
+
+    phi = _accelerated_fixed_point(step, pts, "F-inversion") - pts
+    return complex(phi[0]) if arr.ndim == 0 else phi
+
+
+def inversion_cone_height(mu: GridMeasure) -> float:
+    """Height at and above which voiculescu always converges; below it the map
+    w -> z - h(w) need not contract, and a point may raise ConvergenceError."""
+    return 4.0 * mu.support_radius()
+
+
 def _stieltjes_inversion(evaluate_g, xs):
     """Density at the real points xs from G on the lines x + i eps.
 
@@ -239,9 +214,7 @@ def _is_point_mass(mu: GridMeasure):
     return None
 
 
-def free_convolve(
-    mu: GridMeasure, nu: GridMeasure, n_points: int = 3001, pad: float = None
-) -> GridMeasure:
+def free_convolve(mu: GridMeasure, nu: GridMeasure, n_points: int = 3001) -> GridMeasure:
     """Free additive convolution of two probability measures.
 
     Subordination fixed point along the lines z = x + i eps, then Stieltjes
@@ -260,8 +233,7 @@ def free_convolve(
 
     lo = mu.support_bounds()[0] + nu.support_bounds()[0]
     hi = mu.support_bounds()[1] + nu.support_bounds()[1]
-    if pad is None:
-        pad = 0.05 * (hi - lo) + 0.25
+    pad = 0.05 * (hi - lo) + 0.25
 
     def g_out(zs):
         omega = _subordination_pair(mu, nu, zs)

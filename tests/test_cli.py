@@ -346,6 +346,48 @@ def test_sim_non_integer_field_exit_2(tmp_path, capsys, field, value):
     assert "PASS" not in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("decay_threshold", True), ("decay_threshold", "0.5"), ("t", True), ("t", "1"),
+     ("lam", True), ("alpha", "0.25"), ("jump", [["1", 1.0]])],
+)
+def test_sim_non_real_field_exit_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, d=4, N=4, **{field: value})
+    code, out, err = run(capsys, "sim", "mixed", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"error: {field} ") and "real number" in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+def test_sim_variation_one_trial_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, trials=1, k=2)
+    code, out, err = run(capsys, "sim", "variation", "--config", str(cfg))
+    assert code == 2
+    assert "at least 2 trials" in err
+    assert "FAIL" not in out
+
+
+_B = [[[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]
+_A = [[[1.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "key, fields",
+    [("B", {"A": _A}), ("A", {"B": _B}),
+     ("B", {"A": _A, "B": [[[0.0, "2"], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]}),
+     ("B", {"A": _A, "B": [[0.0, 2.0], [0.0, 2.0]]}),
+     ("A", {"B": _B, "A": [[["1", 0.0], [0.0, 0.0]]]}),
+     ("A", {"B": _B, "A": [[[True, 0.0], [0.0, 0.0]]]}),
+     ("A", {"B": _B, "A": [[1.0, 0.0], [0.0, 0.0]]})],
+)
+def test_sim_matcauchy_missing_or_malformed_inputs_exit_2(tmp_path, capsys, key, fields):
+    cfg = write_config(tmp_path, d=10, **fields)
+    code, out, err = run(capsys, "sim", "matcauchy", "--config", str(cfg))
+    assert code == 2
+    assert f"needs '{key}'" in err and "k x k" in err
+    assert out == ""
+
+
 def test_sim_mixed_without_mixed_mass_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, d=4, N=16, lam=1e-9)
     code, out, _ = run(capsys, "sim", "mixed", "--config", str(cfg))

@@ -77,6 +77,17 @@ def test_config_rejects_integer_fields_that_are_not_integers(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("t", True), ("t", "1"), ("lam", True), ("lam", "0.5"), ("alpha", "0.25"),
+     ("alpha", False), ("jump", [[True, 1.0]]), ("jump", [["1", 1.0]]),
+     ("jump", [[1.0, "1"]])],
+)
+def test_config_rejects_real_fields_that_are_not_real_numbers(field, value):
+    with pytest.raises(SimError, match=rf"^{field} .*real number"):
+        small_config(**{field: value})
+
+
 def test_config_accepts_numpy_integers():
     cfg = small_config(d=np.int64(40), N=np.int32(8), k_max=np.int64(3))
     assert (cfg.d, cfg.N, cfg.k_max) == (40, 8, 3)
@@ -260,10 +271,18 @@ def test_verify_variation_reports_finite_n_reference_above_order_12():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_verify_variation_means_are_the_public_model(k):
-    cfg = small_config(d=30, trials=1, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
+    cfg = small_config(d=30, trials=2, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
     report = verify_variation(cfg, k)
-    expected = trace_moments(power_sums(sample_cp_increments(cfg, 0), k), cfg.k_max)
-    assert [m["mean"] for m in report.moments] == expected
+    rows = np.array([
+        trace_moments(power_sums(sample_cp_increments(cfg, trial), k), cfg.k_max)
+        for trial in (0, 1)
+    ])
+    assert [m["mean"] for m in report.moments] == [float(col.mean()) for col in rows.T]
+
+
+def test_verify_variation_needs_two_trials():
+    with pytest.raises(SimError, match="at least 2 trials"):
+        verify_variation(small_config(d=10, trials=1, N=4), 2)
 
 
 def test_verify_variation_threads_deterministic():

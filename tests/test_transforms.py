@@ -14,6 +14,8 @@ from freelevy.cumulants import (
     moments_to_cumulants,
 )
 from freelevy.measures import (
+    DensityGrid,
+    GridMeasure,
     arcsine_density,
     bernoulli_symmetric,
     point_mass,
@@ -31,6 +33,7 @@ from freelevy.transforms import (
     free_convolve,
     free_convolve_moments,
     free_multiply_moments,
+    inversion_cone_height,
     stieltjes_density,
     voiculescu,
 )
@@ -94,17 +97,61 @@ def test_voiculescu_point_mass():
 
 
 def test_inversion_cone_height():
-    from freelevy.transforms import inversion_cone_height
-
     assert inversion_cone_height(semicircle(1.0)) == pytest.approx(8.0)
     assert inversion_cone_height(point_mass(-3.0)) == pytest.approx(12.0)
 
 
 def test_voiculescu_stops_at_a_critical_point_of_f():
-    # G of (delta_-1 + delta_1)/2 is w / (w^2 - 1), so G'(i) = 0 and the
-    # Newton iteration from w0 = z = i sits on the critical point of F
-    with pytest.raises(ConvergenceError, match=r"critical point .* w = 1j for z = 1j"):
+    # F of (delta_-1 + delta_1)/2 is w - 1/w, so F'(i) = 0; the first step
+    # w -> z - h(w) = z + 1/w from w0 = z = i lands on the real axis at 0
+    with pytest.raises(ConvergenceError, match=r"at z = 1j$"):
         voiculescu(bernoulli_symmetric(), 1j)
+
+
+def free_poisson_grid(lam, n_points=4001):
+    """Marchenko-Pastur law of rate lam >= 1 on a grid, at unit trapezoid mass."""
+    lo, hi = (1 - math.sqrt(lam)) ** 2, (1 + math.sqrt(lam)) ** 2
+    grid = DensityGrid.from_function(
+        lo, hi, n_points,
+        lambda xs: np.sqrt(np.clip((hi - xs) * (xs - lo), 0, None)) / (2 * math.pi * xs),
+    )
+    return GridMeasure([], DensityGrid(lo, hi, grid.h, grid.values / grid.mass()))
+
+
+def atom_grid_mix():
+    half = semicircle(1.0).grid
+    return GridMeasure([(1.0, 0.5)], DensityGrid(half.lo, half.hi, half.h, 0.5 * half.values))
+
+
+CONE_LAWS = {
+    "semicircle": lambda: semicircle(1.0),
+    "free_poisson": lambda: free_poisson_grid(1.5),
+    "bernoulli": bernoulli_symmetric,
+    "two_point": lambda: two_point(-1.5, 0.5, 0.25, 0.75),
+    "point_mass": lambda: point_mass(0.75),
+    "atom_grid_mix": atom_grid_mix,
+    "shifted_semicircle": lambda: semicircle(1.0, center=1.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(CONE_LAWS))
+def test_voiculescu_converges_on_the_inversion_cone(law):
+    mu = CONE_LAWS[law]()
+    height = inversion_cone_height(mu)
+    zs = np.array([x + 1j * height * c for c in (1.0, 1.5, 2.0, 3.0)
+                   for x in np.linspace(-4.0, 4.0, 9)])
+    phi = voiculescu(mu, zs)
+    resid = np.abs(1.0 / cauchy(mu, zs + phi) - zs)
+    assert np.all(resid <= 1e-9 * np.maximum(1.0, np.abs(zs))), resid.max()
+    # points do not interact: the vector call is the scalar calls, bit for bit
+    assert np.array_equal(phi, [voiculescu(mu, z) for z in zs])
+
+
+@pytest.mark.parametrize("zs", [0.2j, np.array([5j, 0.2j, 3 + 9j])])
+def test_voiculescu_below_the_floor_raises_convergence_error(zs):
+    # semicircle iterates from z = 0.2i fall to Im w <= 3 grid steps
+    with pytest.raises(ConvergenceError, match=r"at z = 0\.2j$"):
+        voiculescu(semicircle(1.0), zs)
 
 
 def test_voiculescu_semicircle():
