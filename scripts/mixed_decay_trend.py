@@ -25,9 +25,7 @@ def main(argv=None):
         d=args.d, trials=args.trials, master_seed=args.seed, N=64,
         t=1.0, lam=1.0, jump=[[-1.0, 0.5], [1.0, 0.5]],
     )
-    report = mixed_decay(
-        cfg, cfg, args.mode, schedule=[8, 16, 32, 64], threads=args.threads
-    )
+    report = mixed_decay(cfg, args.mode, schedule=[8, 16, 32, 64], threads=args.threads)
     print("N      m2          N*m2")
     for n, m2 in zip(report.extras["schedule"], report.extras["m2_by_n"]):
         print(f"{n:<6d} {m2:<11.5f} {n * m2:.4f}")

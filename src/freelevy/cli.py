@@ -2,7 +2,8 @@
 and the simulation campaigns, with JSON/CSV outputs and run manifests.
 
 Exit codes are a stable contract: 0 success/pass, 1 verification failure,
-2 usage or schema error, 3 numeric failure.
+2 usage or schema error (a freelevy error class), 3 numeric failure; any other
+exception is an internal error and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .levy import (
     pair_to_triple,
     variation_triple,
 )
-from .measures import MeasureError
+from .measures import MeasureError, _is_real
 from .ncsym import (
     NCSymError,
     composition_of,
@@ -45,8 +46,6 @@ from .rmt import (
     CONFIG_EXTRAS,
     SimConfig,
     SimError,
-    _is_integer,
-    _is_real,
     histogram_csv_lines,
     matricial_cauchy,
     mixed_decay,
@@ -64,20 +63,10 @@ EXIT_NUMERIC = 3
 
 
 class InputError(ValueError):
-    """A required input flag is missing, or its file is unreadable or not JSON."""
+    """An input flag is missing or malformed, or its file is unreadable or not JSON."""
 
 
-_SCHEMA_ERRORS = (
-    InputError,
-    LevyError,
-    MeasureError,
-    NCSymError,
-    PartitionError,
-    SimError,
-    KeyError,
-    TypeError,
-    ValueError,
-)
+_SCHEMA_ERRORS = (InputError, LevyError, MeasureError, NCSymError, PartitionError, SimError)
 
 
 class _ManifestWriter:
@@ -85,9 +74,7 @@ class _ManifestWriter:
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
-        self.arguments = {
-            k: v for k, v in vars(args).items() if k != "func" and v is not None
-        }
+        self.arguments = {k: v for k, v in vars(args).items() if v is not None}
         self.inputs = []
         self.outputs = []
         self.started = time.time()
@@ -117,13 +104,21 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
+def _flag_numbers(flag: str, text: str, kind) -> list:
+    """The comma-separated numbers in a flag's value, each read by `kind` (int or float)."""
+    try:
+        return [kind(part) for part in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 def _parse_map_spec(spec: str) -> VariationMap:
-    if spec.startswith("pow:"):
-        return VariationMap.power(int(spec.split(":", 1)[1]))
-    if spec.startswith("poly:"):
-        coeffs = [float(c) for c in spec.split(":", 1)[1].split(",")]
-        return VariationMap.polynomial(coeffs)
-    raise LevyError(f"map spec must be pow:k or poly:c1,c2,..., got {spec!r}")
+    kind, _, rest = spec.partition(":")
+    if kind == "pow" and "," not in rest:
+        return VariationMap.power(_flag_numbers("--p", rest, int)[0])
+    if kind == "poly":
+        return VariationMap.polynomial(_flag_numbers("--p", rest, float))
+    raise LevyError(f"--p must be pow:k or poly:c1,c2,..., got {spec!r}")
 
 
 # -- ncsym --------------------------------------------------------------------
@@ -132,8 +127,8 @@ def _parse_map_spec(spec: str) -> VariationMap:
 def cmd_ncsym(args) -> int:
     if args.kind == "distinct":
         if args.composition:
-            comp = Composition([int(p) for p in args.composition.split(",")])
-        elif args.k:
+            comp = Composition(_flag_numbers("--composition", args.composition, int))
+        elif args.k is not None:
             comp = Composition([1] * args.k)
         else:
             raise NCSymError("distinct needs --k or --composition")
@@ -141,9 +136,8 @@ def cmd_ncsym(args) -> int:
         poly = p_basis(sigma)
         print(poly)
         if args.verify:
-            letters = args.letters or 3
-            lhs = expand_letters(poly, letters)
-            rhs = distinct_neighbor_bruteforce(composition_of(sigma), letters)
+            lhs = expand_letters(poly, args.letters)
+            rhs = distinct_neighbor_bruteforce(composition_of(sigma), args.letters)
             ok = lhs == rhs
             print("VERIFY PASS" if ok else "VERIFY FAIL")
             return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -153,18 +147,16 @@ def cmd_ncsym(args) -> int:
             raise NCSymError("psi needs --n")
         print(psi_poly(args.n))
         return EXIT_OK
-    if args.kind == "integral":
-        if args.k is None:
-            raise NCSymError("integral needs --k")
-        poly = stochastic_integral_poly(args.k)
-        print(poly)
-        if args.verify:
-            renamed = poly.rename(lambda gen: ("p", gen[1]), "p")
-            ok = renamed == p_basis(zero_partition(args.k))
-            print("VERIFY PASS" if ok else "VERIFY FAIL")
-            return EXIT_OK if ok else EXIT_VERIFY_FAIL
-        return EXIT_OK
-    raise NCSymError(f"unknown ncsym kind {args.kind!r}")
+    if args.k is None:
+        raise NCSymError("integral needs --k")
+    poly = stochastic_integral_poly(args.k)
+    print(poly)
+    if args.verify:
+        renamed = poly.rename(lambda gen: ("p", gen[1]), "p")
+        ok = renamed == p_basis(zero_partition(args.k))
+        print("VERIFY PASS" if ok else "VERIFY FAIL")
+        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK
 
 
 # -- levy ----------------------------------------------------------------------
@@ -183,13 +175,10 @@ def _read_json(path, manifest):
 def _write_or_print(data, args, manifest, default_name: str):
     text = _dump(data)
     if args.out:
-        out_dir = Path(args.out)
-        if out_dir.suffix == ".json":
-            target = out_dir
-            target.parent.mkdir(parents=True, exist_ok=True)
-        else:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            target = out_dir / default_name
+        target = Path(args.out)
+        if target.suffix != ".json":
+            target = target / default_name
+        target.parent.mkdir(parents=True, exist_ok=True)
         manifest.emit(target, text)
     else:
         print(text)
@@ -221,40 +210,34 @@ def cmd_levy(args, manifest) -> int:
         return EXIT_OK
     if args.action == "cumulants":
         triple = GeneratingTriple.from_json(_read_json(args.input, manifest))
-        kappas = [float(x) for x in triple_to_cumulants(triple, args.n or 6)]
+        kappas = [float(x) for x in triple_to_cumulants(triple, args.n)]
         _write_or_print({"cumulants": kappas}, args, manifest, "cumulants.json")
         return EXIT_OK
-    if args.action == "bp-check":
-        if args.family not in _BP_FAMILIES:
-            raise LevyError(f"unknown family {args.family!r}")
-        ns = [int(n) for n in args.ns.split(",")]
-        report = bp_limit_check(_BP_FAMILIES[args.family](args), ns)
-        lines = ["N,gamma,gamma_residual,sigma_mass,sigma_mean"]
-        for i, n in enumerate(report.ns):
-            sig = report.sigma_by_n[i]
-            lines.append(
-                f"{n},{float(report.gamma_by_n[i])!r},{report.gamma_residuals[i]!r},"
-                f"{float(sig.total_mass)!r},{float(sig.integrate(lambda x: x))!r}"
-            )
-        summary = {
-            "gamma": report.gamma,
-            "sigma_mass": report.sigma_mass,
-            "sigma_mean": report.sigma_mean,
-            "sigma_atoms": [
-                [float(x), float(m)] for x, m in (report.sigma_atoms or [])
-            ],
-            "pair": report.pair().to_json(),
-        }
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            manifest.emit(out_dir / "bp_check.csv", "\n".join(lines) + "\n")
-            manifest.emit(out_dir / "bp_check.json", _dump(summary))
-        else:
-            print("\n".join(lines))
-            print(_dump(summary))
-        return EXIT_OK
-    raise LevyError(f"unknown levy action {args.action!r}")
+    ns = _flag_numbers("--ns", args.ns, int)
+    report = bp_limit_check(_BP_FAMILIES[args.family](args), ns)
+    lines = ["N,gamma,gamma_residual,sigma_mass,sigma_mean"]
+    for i, n in enumerate(report.ns):
+        sig = report.sigma_by_n[i]
+        lines.append(
+            f"{n},{float(report.gamma_by_n[i])!r},{report.gamma_residuals[i]!r},"
+            f"{float(sig.total_mass)!r},{float(sig.integrate(lambda x: x))!r}"
+        )
+    summary = {
+        "gamma": report.gamma,
+        "sigma_mass": report.sigma_mass,
+        "sigma_mean": report.sigma_mean,
+        "sigma_atoms": [[float(x), float(m)] for x, m in (report.sigma_atoms or [])],
+        "pair": report.pair().to_json(),
+    }
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest.emit(out_dir / "bp_check.csv", "\n".join(lines) + "\n")
+        manifest.emit(out_dir / "bp_check.json", _dump(summary))
+    else:
+        print("\n".join(lines))
+        print(_dump(summary))
+    return EXIT_OK
 
 
 # -- sim ------------------------------------------------------------------------
@@ -303,29 +286,7 @@ def _matcauchy_inputs(raw):
 def cmd_sim(args, manifest) -> int:
     cfg, raw = _load_sim_config(args.config, args.subcommand, manifest)
     out_dir = Path(args.out) if args.out else None
-    threads = args.threads or 1
-
-    k = raw.get("k", 2)
-    if not _is_integer(k):
-        raise SimError(f"k must be an integer, got {k!r}")
-    if args.subcommand == "variation":
-        report = verify_variation(cfg, k, threads=threads)
-        stem = f"variation_k{k}"
-    elif args.subcommand == "identity":
-        report = verify_integral_identity(cfg, k, threads=threads)
-        stem = f"identity_k{k}"
-    elif args.subcommand == "mixed":
-        mode = raw.get("mode", "anticommutator")
-        schedule = raw.get("schedule")
-        threshold = raw.get("decay_threshold", 0.15)
-        if not _is_real(threshold):
-            raise SimError(f"decay_threshold must be a real number, got {threshold!r}")
-        report = mixed_decay(
-            cfg, cfg, mode, schedule=schedule, threads=threads,
-            decay_threshold=float(threshold),
-        )
-        stem = f"mixed_{mode.replace('-', '_')}"
-    elif args.subcommand == "matcauchy":
+    if args.subcommand == "matcauchy":
         b_mat, a_mats = _matcauchy_inputs(raw)
         x_mats = [
             sample_gue(cfg.d, stream(cfg.master_seed, i, "gue_a"))
@@ -344,11 +305,16 @@ def cmd_sim(args, manifest) -> int:
             print(_dump(payload))
         print(f"matcauchy k={b_mat.shape[0]} d={cfg.d}")
         return EXIT_OK
-    else:
-        raise SimError(f"unknown sim subcommand {args.subcommand!r}")
 
+    # built at call time, so a patched module-level name is the one run
+    campaign = {"variation": verify_variation, "identity": verify_integral_identity,
+                "mixed": mixed_decay}[args.subcommand]
+    extras = {key: raw[key] for key in CONFIG_EXTRAS[args.subcommand] if key in raw}
+    report = campaign(cfg, threads=args.threads, **extras)
+    # each campaign defaults and checks its own extras, so the stem is read back
+    tag = report.extras.get("mode", "").replace("-", "_") or f"k{report.extras['k']}"
     if out_dir:
-        _write_report(report, out_dir, stem, manifest)
+        _write_report(report, out_dir, f"{args.subcommand}_{tag}", manifest)
     else:
         print(report.dumps())
     print(report.summary())
@@ -371,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     nc.add_argument("--k", type=int)
     nc.add_argument("--n", type=int)
     nc.add_argument("--composition", type=str)
-    nc.add_argument("--letters", type=int)
+    nc.add_argument("--letters", type=int, default=3)
     nc.add_argument("--verify", action="store_true")
 
     lv = sub.add_parser("levy", help="generating triple calculus")
@@ -380,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lv.add_argument("--input", type=str)
     lv.add_argument("--p", type=str, default="pow:2")
-    lv.add_argument("--n", type=int)
+    lv.add_argument("--n", type=int, default=6)
     lv.add_argument("--out", type=str)
-    lv.add_argument("--family", type=str, default="bernoulli")
+    lv.add_argument("--family", choices=sorted(_BP_FAMILIES), default="bernoulli")
     lv.add_argument("--lam", type=float, default=1.0)
     lv.add_argument("--c", type=float, default=1.0)
     lv.add_argument("--ns", type=str, default="10,100,1000")

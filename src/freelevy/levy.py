@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import DensityGrid, GridMeasure
+from .measures import DensityGrid, GridMeasure, _is_integer, _is_real
 
 ORIGIN_TOL = 1e-12
 INTEGRABILITY_GUARD = 1e12
@@ -29,6 +29,15 @@ PUSHFORWARD_CELLS = 4096
 
 class LevyError(ValueError):
     """Invalid Levy data: atom at the origin, divergent integrals, bad map."""
+
+
+def _check_json(data, kind: str, reals, measure: str):
+    """LevyError naming the key where `data` is not a JSON generating triple or pair."""
+    for key in (*reals, measure):
+        if not (isinstance(data, dict) and key in data):
+            raise LevyError(f"a generating {kind} is a JSON object with the key {key!r}")
+        if key in reals and not _is_real(data[key]):
+            raise LevyError(f"{key} must be a real number, got {data[key]!r}")
 
 
 def _is_zero(x) -> bool:
@@ -151,7 +160,8 @@ class GeneratingTriple:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratingTriple":
-        return cls(data["eta"], data["a"], LevyMeasure.from_json(data["rho"]))
+        _check_json(data, "triple", ("eta", "a"), "rho")
+        return cls(data["eta"], data["a"], LevyMeasure.from_json(data["rho"], "rho"))
 
 
 @dataclass
@@ -166,7 +176,8 @@ class GeneratingPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratingPair":
-        return cls(data["gamma"], GridMeasure.from_json(data["sigma"]))
+        _check_json(data, "pair", ("gamma",), "sigma")
+        return cls(data["gamma"], GridMeasure.from_json(data["sigma"], "sigma"))
 
 
 @dataclass
@@ -250,7 +261,7 @@ def pair_to_triple(p: GeneratingPair) -> GeneratingTriple:
 def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
     """kappa_1 = eta + int_{|x|>1} x, kappa_2 = a + int x^2, kappa_m = int x^m."""
     if n < 1:
-        raise LevyError(f"cumulant order must be >= 1, got {n}")
+        raise LevyError(f"cumulant order n must be >= 1, got {n}")
     out = []
     for m in range(1, n + 1):
         if m == 1:
@@ -437,11 +448,13 @@ def bp_limit_check(family, ns) -> BPReport:
     """Evaluate the limit-pair conditions gamma_N = N int x/(1+x^2) d mu_N and
     sigma_N = N x^2/(1+x^2) mu_N along a scale list, and extrapolate.
 
-    Divergence shows up as non-convergent estimates in the report; nothing is
-    thrown. Atom-level extrapolation of sigma happens when the atom locations
-    are stable across scales.
+    Divergence shows up as non-convergent estimates in the report, not as an
+    error; scales that are not positive ints raise LevyError. Atom-level
+    extrapolation of sigma happens when the atom locations are stable across scales.
     """
     ns = list(ns)
+    if not (ns and all(_is_integer(n) and n > 0 for n in ns)):
+        raise LevyError(f"ns must be a nonempty list of positive integers, got {ns}")
     gammas, sigmas = [], []
     for n in ns:
         mu = family(n)
@@ -484,6 +497,8 @@ def bp_limit_check(family, ns) -> BPReport:
 
 def bernoulli_family(lam):
     """N -> (1 - lam/N) delta_0 + (lam/N) delta_1, exact masses."""
+    if not (_is_real(lam) and math.isfinite(lam)):
+        raise LevyError(f"lam must be a finite real number, got {lam!r}")
 
     def family(n):
         frac = Fraction(lam) / n

@@ -13,6 +13,7 @@ with "grid" null for purely atomic measures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,24 @@ class MeasureError(ValueError):
     """Malformed measure data (negative mass, inconsistent grid)."""
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools and all else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for Python and numpy reals (Fractions too); False for bools and all else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_real_pairs(value) -> bool:
+    """True for a list of [x, mass] pairs of real numbers, the format of atoms and jumps."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_real(v) for v in p)
+        for p in value
+    )
+
+
 @dataclass
 class DensityGrid:
     lo: float
@@ -33,6 +52,8 @@ class DensityGrid:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if not (self.h > 0 and math.isfinite((self.hi - self.lo) / self.h)):
+            raise MeasureError(f"grid needs finite lo, hi and a step h > 0, got h = {self.h}")
         n = int(round((self.hi - self.lo) / self.h)) + 1
         if n != len(self.values):
             raise MeasureError(
@@ -145,13 +166,22 @@ class GridMeasure:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "GridMeasure":
-        atoms = [(x, m) for x, m in data.get("atoms", [])]
+    def from_json(cls, data: dict, name: str = "measure") -> "GridMeasure":
+        """The measure in `data`; a MeasureError names `name` and the bad key."""
+        if not isinstance(data, dict):
+            raise MeasureError(f"{name} must be a JSON object, got {data!r}")
+        atoms, g = data.get("atoms", []), data.get("grid")
+        if not _is_real_pairs(atoms):
+            raise MeasureError(f"{name} atoms must be [x, mass] pairs of real numbers")
         grid = None
-        if data.get("grid") is not None:
-            g = data["grid"]
-            grid = DensityGrid(g["lo"], g["hi"], g["h"], np.asarray(g["values"]))
-        return cls(atoms, grid)
+        if g is not None:
+            values = g.get("values") if isinstance(g, dict) else None
+            if not (isinstance(values, list) and all(
+                _is_real(v) for v in [g.get("lo"), g.get("hi"), g.get("h"), *values]
+            )):
+                raise MeasureError(f"{name} grid must hold real lo, hi, h and values")
+            grid = DensityGrid(g["lo"], g["hi"], g["h"], np.asarray(values))
+        return cls([(x, m) for x, m in atoms], grid)
 
 
 def point_mass(x, mass=1) -> GridMeasure:

@@ -256,7 +256,7 @@ def p_basis(sigma: Partition) -> NCPolynomial:
 def _check_expansion_bounds(degree: int, n_letters: int):
     if n_letters > LETTER_EXPANSION_MAX_N or n_letters < 1:
         raise NCSymError(
-            f"letter count must be in 1..{LETTER_EXPANSION_MAX_N}, got {n_letters}"
+            f"letters must be in 1..{LETTER_EXPANSION_MAX_N}, got {n_letters}"
         )
     if degree > LETTER_EXPANSION_MAX_DEGREE:
         raise NCSymError(

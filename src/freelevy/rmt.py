@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
 from .levy import VariationMap, compound_poisson_triple, triple_to_cumulants, variation_triple
-from .measures import GridMeasure
+from .measures import GridMeasure, _is_integer, _is_real, _is_real_pairs
 from .ncsym import stochastic_integral_poly
 
 HERMITIAN_TOL = 1e-12
@@ -44,7 +43,7 @@ _STREAM_TAGS = {
 }
 
 
-# keys a config file carries besides the SimConfig fields, by `sim` subcommand
+# keys a config carries besides the SimConfig fields, by `sim` subcommand: campaign keywords
 CONFIG_EXTRAS = {
     "variation": {"k"},
     "identity": {"k"},
@@ -56,16 +55,6 @@ _ALL_EXTRAS = set().union(*CONFIG_EXTRAS.values())
 
 class SimError(ValueError):
     """Configuration violates the model's preconditions."""
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; False for bools and all else."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """True for Python and numpy reals (Fractions too); False for bools and all else."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -87,8 +76,8 @@ class SimConfig:
         for name in ("t", "lam") + (("alpha",) if self.alpha is not None else ()):
             if not _is_real(getattr(self, name)):
                 raise SimError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not all(_is_real(v) for pair in self.jump for v in pair):
-            raise SimError(f"jump atoms and masses must be real numbers, got {self.jump!r}")
+        if not _is_real_pairs(self.jump):
+            raise SimError(f"jump must be [atom, mass] pairs of real numbers, got {self.jump!r}")
         if self.d < 2:
             raise SimError(f"dimension must be >= 2, got {self.d}")
         if self.trials < 1:
@@ -138,6 +127,9 @@ class SimConfig:
         unknown = sorted(set(data) - set(cls.__dataclass_fields__) - _ALL_EXTRAS)
         if unknown:
             raise SimError(f"unknown config keys: {', '.join(unknown)}")
+        missing = sorted({"d", "trials", "master_seed"} - set(data))
+        if missing:
+            raise SimError(f"config lacks the required keys: {', '.join(missing)}")
         return cls(**{k: v for k, v in data.items() if k not in _ALL_EXTRAS})
 
 
@@ -332,10 +324,12 @@ def _doubling_schedule(n: int):
         out.append(cur)
         cur *= 2
     out.append(n)
-    return out if out[0] <= n else [n]
+    return out
 
 
 def _run_trials(fn, trials: int, threads: int):
+    if not (_is_integer(threads) and threads >= 1):
+        raise SimError(f"threads must be a positive integer, got {threads!r}")
     if threads <= 1:
         return [fn(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -379,11 +373,13 @@ def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
     ]
 
 
-def verify_variation(config: SimConfig, k: int, threads: int = 1) -> SimReport:
+def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
     """Moments of sum X_i^k against the exact variation law, plus the
     Frobenius-distance proxy to s e(t)^k s along a doubling schedule.
     The z-scores divide by the across-trial standard error, so it needs
     at least 2 trials."""
+    if not _is_integer(k):
+        raise SimError(f"k must be an integer, got {k!r}")
     if config.trials < 2:
         raise SimError(f"a standard error needs at least 2 trials, got {config.trials}")
     orders = config.k_max
@@ -466,9 +462,11 @@ def _neighbor_distinct_sum(increments, k: int) -> np.ndarray:
     return sum(ends)
 
 
-def verify_integral_identity(config: SimConfig, k: int, threads: int = 1) -> SimReport:
+def verify_integral_identity(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
     """Both sides of the k-fold integral identity on random Hermitian
     increments; an exact algebraic identity at every finite dimension."""
+    if not _is_integer(k):
+        raise SimError(f"k must be an integer, got {k!r}")
     if k > IDENTITY_MAX_K:
         raise SimError(f"identity check bounded by k <= {IDENTITY_MAX_K}")
     poly = stochastic_integral_poly(k)
@@ -525,8 +523,7 @@ def counterexample_rows(alpha: float, ns, t: float = 1.0) -> list:
 
 
 def mixed_decay(
-    config_a: SimConfig,
-    config_b: SimConfig | None = None,
+    config: SimConfig,
     mode: str = "anticommutator",
     schedule=None,
     threads: int = 1,
@@ -536,25 +533,25 @@ def mixed_decay(
     along a doubling schedule; passes when it decays from a positive value
     at the first schedule point to below the threshold times that value.
 
-    The two families share d, N (the schedule's default) and trials; a
-    config_b that differs in any of them raises SimError. mode
-    "square-of-sum" is the infinitesimal counterexample: it ignores
-    config_b and reports the exact scalar quadratic sums for alpha from
-    config_a, which diverge like 2 t N^(1 - 2 alpha)."""
-    if schedule is not None:
-        if not isinstance(schedule, (list, tuple)):
-            raise SimError(f"schedule must be a list of positive integers, got {schedule!r}")
-        for n in schedule:
-            if not (_is_integer(n) and n > 0):
-                raise SimError(f"schedule entry {n!r} is not a positive integer")
+    Both families follow the law of `config`; family b draws from the
+    config's own "b" streams, independent of family a. mode
+    "square-of-sum" is the infinitesimal counterexample: it reports the
+    exact scalar quadratic sums for the config's alpha, which diverge like
+    2 t N^(1 - 2 alpha)."""
+    if not _is_real(decay_threshold):
+        raise SimError(f"decay_threshold must be a real number, got {decay_threshold!r}")
+    if schedule is not None and not (
+        isinstance(schedule, (list, tuple)) and all(_is_integer(n) and n > 0 for n in schedule)
+    ):
+        raise SimError(f"schedule must be a list of positive integers, got {schedule!r}")
     if mode == "square-of-sum":
-        if config_a.alpha is None:
+        if config.alpha is None:
             raise SimError("counterexample mode needs the alpha field")
         ns = schedule or [100, 10000]
-        rows = counterexample_rows(config_a.alpha, ns, config_a.t)
+        rows = counterexample_rows(config.alpha, ns, config.t)
         ok = all(abs(r["ratio"] - 1.0) <= 0.05 for r in rows)
         return SimReport(
-            config=config_a.to_json(),
+            config=config.to_json(),
             moments=[],
             histograms={},
             extras={"mode": mode, "table": rows},
@@ -563,35 +560,27 @@ def mixed_decay(
 
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
-    config_b = config_b or config_a
-    for name in ("d", "N", "trials"):
-        va, vb = getattr(config_a, name), getattr(config_b, name)
-        if va != vb:
-            raise SimError(
-                f"mixed_decay needs one {name} for both families, got {va} and {vb}"
-            )
-    ns = schedule or _doubling_schedule(config_a.N)[1:] or [config_a.N]
+    ns = schedule or _doubling_schedule(config.N)[1:] or [config.N]
 
     def one_trial(trial):
-        marks_a = _draw_marks(config_a, trial, "a")
-        marks_b = _draw_marks(config_b, trial, "b")
+        marks_a = _draw_marks(config, trial, "a")
+        marks_b = _draw_marks(config, trial, "b")
         out = []
         for n in ns:
             acc = np.zeros_like(marks_a[0])
-            pairs = zip(_increments(marks_a, config_a, n), _increments(marks_b, config_b, n))
-            for x, y in pairs:
+            for x, y in zip(_increments(marks_a, config, n), _increments(marks_b, config, n)):
                 acc += x @ y + y @ x if mode == "anticommutator" else x @ y
-            out.append(float(np.trace(acc @ acc.conj().T).real) / config_a.d)
+            out.append(float(np.trace(acc @ acc.conj().T).real) / config.d)
         return out
 
-    rows = np.array(_run_trials(one_trial, config_a.trials, threads))
+    rows = np.array(_run_trials(one_trial, config.trials, threads))
     means = rows.mean(axis=0)
     inversions = int(np.sum(np.diff(means) > 0))
     ratio = float(means[-1] / means[0]) if means[0] > 0 else 0.0
     # with no mixed mass at the first point there is no decay to measure
     passed = bool(means[0] > 0) and inversions <= 1 and ratio <= decay_threshold
     return SimReport(
-        config=config_a.to_json(),
+        config=config.to_json(),
         moments=[],
         histograms={},
         extras={

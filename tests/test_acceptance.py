@@ -286,7 +286,7 @@ def test_criterion_10_mixed_decay():
         d=400, trials=10, master_seed=31, N=64, t=1.0, lam=1.0,
         jump=[[-1.0, 0.5], [1.0, 0.5]],
     )
-    report = mixed_decay(cfg, cfg, "anticommutator", schedule=[8, 16, 32, 64])
+    report = mixed_decay(cfg, "anticommutator", schedule=[8, 16, 32, 64])
     ratio = report.extras["decay_ratio"]
     crit.finish(
         ratio <= 0.15,

@@ -441,6 +441,87 @@ def test_sim_verification_failure_exit_1(tmp_path, capsys):
     assert (out_dir / "variation_k2.json").exists()
 
 
+_TRIPLE = {"eta": 0.0, "a": 0.0, "rho": {"atoms": [[1.0, 1.0]], "grid": None}}
+_CONFIG = {"d": 4, "trials": 2, "master_seed": 5, "N": 4, "t": 1.0, "lam": 1.0,
+           "jump": [[1.0, 1.0]], "k_max": 3}
+
+
+# argv, the JSON given as --input (levy) or --config (sim), text the error must hold
+@pytest.mark.parametrize(
+    "argv, data, named",
+    [pytest.param(["levy", "to-pair"], dict(_TRIPLE, rho=[1]), "rho", id="rho-list"),
+     pytest.param(["levy", "to-triple"], {"gamma": 0.0, "sigma": [1]}, "sigma", id="sigma-list"),
+     pytest.param(["levy", "to-pair"], {"eta": 0.0, "rho": _TRIPLE["rho"]}, "'a'",
+                  id="missing-a"),
+     pytest.param(["levy", "to-pair"], dict(_TRIPLE, rho={"atoms": [[1.0]]}), "rho atoms",
+                  id="atom-not-a-pair"),
+     pytest.param(["levy", "to-pair"], dict(_TRIPLE, eta="x"), "eta", id="eta-string"),
+     pytest.param(["levy", "variation", "--p", "pow:x"], _TRIPLE, "--p", id="p-pow"),
+     pytest.param(["levy", "variation", "--p", "poly:a"], _TRIPLE, "--p", id="p-poly"),
+     pytest.param(["levy", "variation", "--p", "pow:2,3"], _TRIPLE, "--p", id="p-pow-list"),
+     pytest.param(["levy", "cumulants", "--n", "0"], _TRIPLE, "order n", id="cumulants-n-0"),
+     pytest.param(["levy", "bp-check", "--ns", "10,x"], None, "--ns", id="ns-not-int"),
+     *[pytest.param(["levy", "bp-check", "--family", family, "--ns", "0,10"], None, "ns ",
+                    id=f"ns-0-{family}") for family in ("bernoulli", "drift", "symmetric")],
+     *[pytest.param(["levy", "bp-check", "--lam", lam], None, "lam ", id=f"lam-{lam}")
+       for lam in ("nan", "inf")],
+     pytest.param(["ncsym", "distinct", "--composition", "2,x"], None, "--composition",
+                  id="composition-not-int"),
+     pytest.param(["ncsym", "distinct", "--k", "2", "--verify", "--letters", "0"], None,
+                  "letters must be", id="letters-0"),
+     *[pytest.param(["sim", "mixed"], dict(_CONFIG, jump=jump), "jump", id=f"jump-{jump}")
+       for jump in ([1.0], 5, [[1.0]], [[1, 1, 2]])],
+     pytest.param(["sim", "mixed"], {k: v for k, v in _CONFIG.items() if k != "d"},
+                  "required keys: d", id="config-without-d"),
+     pytest.param(["sim", "variation", "--threads", "0"], _CONFIG, "threads", id="threads-0")],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, argv, data, named):
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = argv + ["--config" if argv[0] == "sim" else "--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+def test_unknown_bp_family_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["levy", "bp-check", "--family", "poisson"])
+    assert exc.value.code == 2
+    assert "--family" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    import freelevy.cli as cli
+
+    def bug(*args, **kwargs):
+        raise TypeError("synthetic internal error")
+
+    monkeypatch.setattr(cli, "verify_variation", bug)
+    cfg = write_config(tmp_path)
+    with pytest.raises(TypeError, match="synthetic internal error"):
+        main(["sim", "variation", "--config", str(cfg)])
+
+
+def test_sim_passes_only_the_extras_in_the_config(tmp_path, capsys, monkeypatch):
+    import freelevy.cli as cli
+
+    seen = []
+    real = cli.mixed_decay
+
+    def capture(config, **kwargs):
+        seen.append(kwargs)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(cli, "mixed_decay", capture)
+    cfg = write_config(tmp_path, d=4, N=4, mode="product")
+    code, _, _ = run(capsys, "sim", "mixed", "--config", str(cfg), "--out", str(tmp_path))
+    assert seen == [{"mode": "product", "threads": 1}]
+    assert code == 1 and (tmp_path / "mixed_product.json").exists()
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     from freelevy.transforms import ConvergenceError
     import freelevy.cli as cli

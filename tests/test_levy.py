@@ -23,7 +23,7 @@ from freelevy.levy import (
     triple_to_pair,
     variation_triple,
 )
-from freelevy.measures import DensityGrid, GridMeasure, point_mass, two_point
+from freelevy.measures import DensityGrid, GridMeasure, MeasureError, point_mass, two_point
 
 
 def atomic(pairs):
@@ -351,6 +351,22 @@ def test_bp_semicircle_family():
     assert abs(report.sigma_mean) <= 1e-2
 
 
+@pytest.mark.parametrize("family", [bernoulli_family(1), shifted_atom_family(3),
+                                    symmetric_pm_family()])
+@pytest.mark.parametrize("ns", [[0, 10], [10, -1], [10, 2.5], [True], []])
+def test_bp_check_rejects_scales_that_are_not_positive_ints(family, ns):
+    # a scale of 0 divided by zero inside the families
+    with pytest.raises(LevyError, match="^ns must be a nonempty list of positive integers"):
+        bp_limit_check(family, ns)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, "1", True])
+def test_bernoulli_family_rejects_a_rate_that_is_not_finite(lam):
+    # nan and inf have no exact Fraction, which the masses are built from
+    with pytest.raises(LevyError, match="^lam must be a finite real number"):
+        bernoulli_family(lam)
+
+
 # -- serialization -----------------------------------------------------------------
 
 
@@ -370,3 +386,43 @@ def test_pair_json_roundtrip():
     back = GeneratingPair.from_json(data)
     assert back.gamma == 0.5
     assert back.sigma.atoms == [(0.0, 1.0)]
+
+
+_RHO = {"atoms": [[1.0, 1.0]], "grid": None}
+_GRID = {"lo": 0.0, "hi": 1.0, "h": 0.5, "values": [1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [([1], LevyError, "JSON object with the key 'eta'"),
+     ({"eta": 0.0, "rho": _RHO}, LevyError, "key 'a'"),
+     ({"eta": 0.0, "a": 0.0}, LevyError, "key 'rho'"),
+     ({"eta": "0", "a": 0.0, "rho": _RHO}, LevyError, "^eta must be a real number"),
+     ({"eta": 0.0, "a": True, "rho": _RHO}, LevyError, "^a must be a real number"),
+     ({"eta": 0.0, "a": 0.0, "rho": [1]}, MeasureError, "^rho must be a JSON object"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"atoms": [[1.0]]}}, MeasureError, "^rho atoms"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"atoms": [1.0, 1.0]}}, MeasureError, "^rho atoms"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"atoms": [["1", 1.0]]}}, MeasureError, "^rho atoms"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"grid": [1.0]}}, MeasureError, "^rho grid"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"grid": dict(_GRID, values="1")}}, MeasureError,
+      "^rho grid"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"grid": dict(_GRID, h=None)}}, MeasureError,
+      "^rho grid"),
+     ({"eta": 0.0, "a": 0.0, "rho": {"grid": dict(_GRID, h=0.0)}}, MeasureError,
+      "step h > 0")],
+)
+def test_triple_from_json_names_the_bad_key(data, error, message):
+    with pytest.raises(error, match=message):
+        GeneratingTriple.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [({"sigma": _RHO}, LevyError, "key 'gamma'"),
+     ({"gamma": [0.0], "sigma": _RHO}, LevyError, "^gamma must be a real number"),
+     ({"gamma": 0.0, "sigma": [1]}, MeasureError, "^sigma must be a JSON object"),
+     ({"gamma": 0.0, "sigma": {"atoms": [[0.0, 1.0, 2.0]]}}, MeasureError, "^sigma atoms")],
+)
+def test_pair_from_json_names_the_bad_key(data, error, message):
+    with pytest.raises(error, match=message):
+        GeneratingPair.from_json(data)

@@ -52,6 +52,17 @@ def test_config_validation():
         small_config(t=1.5)
 
 
+@pytest.mark.parametrize("jump", [[1.0], 5, [[1.0]], [[1, 1, 2]], [(1.0,)], "ab"])
+def test_config_rejects_a_jump_that_is_not_a_list_of_pairs(jump):
+    with pytest.raises(SimError, match=r"^jump must be \[atom, mass\] pairs"):
+        small_config(jump=jump)
+
+
+def test_config_from_json_names_the_missing_keys():
+    with pytest.raises(SimError, match="required keys: d, master_seed$"):
+        SimConfig.from_json({"trials": 2})
+
+
 @pytest.mark.parametrize("lam", [0.0, -0.5, math.nan, math.inf])
 def test_config_rejects_a_rate_that_is_not_positive_and_finite(lam):
     with pytest.raises(SimError, match="lam"):
@@ -363,9 +374,8 @@ def test_identity_threads_deterministic():
 
 
 def test_mixed_decay_trend():
-    cfg_a = small_config(d=150, trials=4, N=32, master_seed=11)
-    cfg_b = small_config(d=150, trials=4, N=32, master_seed=11)
-    report = mixed_decay(cfg_a, cfg_b, "anticommutator", schedule=[4, 8, 16, 32])
+    cfg = small_config(d=150, trials=4, N=32, master_seed=11)
+    report = mixed_decay(cfg, "anticommutator", schedule=[4, 8, 16, 32])
     m2 = report.extras["m2_by_n"]
     assert report.extras["inversions"] <= 1
     assert m2[-1] <= 0.5 * m2[0]
@@ -373,35 +383,19 @@ def test_mixed_decay_trend():
 
 def test_mixed_decay_product_mode():
     cfg = small_config(d=100, trials=4, N=16, master_seed=21)
-    report = mixed_decay(cfg, cfg, "product", schedule=[4, 16])
+    report = mixed_decay(cfg, "product", schedule=[4, 16])
     assert report.extras["m2_by_n"][-1] <= report.extras["m2_by_n"][0]
 
 
 @pytest.mark.parametrize("mode", ["anticommutator", "product"])
 def test_mixed_decay_is_the_public_model(mode):
-    cfg_a = small_config(d=30, trials=1, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
-    cfg_b = small_config(d=30, trials=1, N=8, master_seed=7, lam=0.6, jump=[[0.5, 1.0]])
-    report = mixed_decay(cfg_a, cfg_b, mode, schedule=[cfg_a.N])
-    acc = np.zeros((cfg_a.d, cfg_a.d), dtype=complex)
-    for x, y in zip(sample_cp_increments(cfg_a, 0, "a"), sample_cp_increments(cfg_b, 0, "b")):
+    cfg = small_config(d=30, trials=1, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
+    report = mixed_decay(cfg, mode, schedule=[cfg.N])
+    acc = np.zeros((cfg.d, cfg.d), dtype=complex)
+    for x, y in zip(sample_cp_increments(cfg, 0, "a"), sample_cp_increments(cfg, 0, "b")):
         acc += x @ y + y @ x if mode == "anticommutator" else x @ y
-    m2 = float(np.trace(acc @ acc.conj().T).real) / cfg_a.d
+    m2 = float(np.trace(acc @ acc.conj().T).real) / cfg.d
     assert report.extras["m2_by_n"] == [m2]
-
-
-def test_mixed_decay_rejects_config_b_of_another_d():
-    cfg_a = small_config(d=5, trials=1, N=4)
-    cfg_b = small_config(d=4, trials=1, N=4)
-    with pytest.raises(SimError, match="one d "):
-        mixed_decay(cfg_a, cfg_b, "product")
-
-
-@pytest.mark.parametrize("field, value", [("N", 2), ("trials", 3)])
-def test_mixed_decay_rejects_config_b_with_another_schedule(field, value):
-    cfg_a = small_config(d=5, trials=1, N=4)
-    cfg_b = small_config(**{"d": 5, "trials": 1, "N": 4, field: value})
-    with pytest.raises(SimError, match=f"one {field} "):
-        mixed_decay(cfg_a, cfg_b, "anticommutator", schedule=[4])
 
 
 @pytest.mark.parametrize("mode", ["anticommutator", "square-of-sum"])
@@ -414,13 +408,44 @@ def test_mixed_decay_rejects_a_schedule_entry_that_is_not_a_positive_int(
 ):
     cfg = small_config(d=4, trials=1, N=4, alpha=0.25)
     with pytest.raises(SimError, match=f"schedule .*{re.escape(named)}"):
-        mixed_decay(cfg, cfg, mode, schedule=schedule)
+        mixed_decay(cfg, mode, schedule=schedule)
+
+
+@pytest.mark.parametrize("campaign", [verify_variation, verify_integral_identity])
+@pytest.mark.parametrize("k", [2.5, True, "2"])
+def test_campaign_rejects_a_k_that_is_not_an_int(campaign, k):
+    with pytest.raises(SimError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+        campaign(small_config(d=4, trials=2, N=4), k)
+
+
+@pytest.mark.parametrize("mode", ["anticommutator", "square-of-sum"])
+@pytest.mark.parametrize("threshold", [True, "0.5", None])
+def test_mixed_decay_rejects_a_decay_threshold_that_is_not_real(mode, threshold):
+    cfg = small_config(d=4, trials=2, N=4, alpha=0.25)
+    with pytest.raises(SimError, match="^decay_threshold must be a real number"):
+        mixed_decay(cfg, mode, decay_threshold=threshold)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5])
+def test_campaign_rejects_threads_that_are_not_a_positive_int(threads):
+    with pytest.raises(SimError, match="^threads must be a positive integer"):
+        verify_integral_identity(small_config(d=4, trials=2, N=4), 2, threads=threads)
+
+
+def test_campaign_extras_default_as_documented():
+    cfg = small_config(d=6, trials=2, N=4)
+    assert verify_variation(cfg).extras["k"] == 2
+    assert verify_integral_identity(cfg).extras["k"] == 2
+    report = mixed_decay(cfg)
+    assert report.extras["mode"] == "anticommutator"
+    assert report.extras["schedule"] == [4]
+    assert report.passed == (report.extras["decay_ratio"] <= 0.15)
 
 
 def test_mixed_decay_without_mixed_mass_fails():
     # at lam = 1e-9 no coordinate fires, so m2 is 0 at every schedule point
     cfg = small_config(d=4, trials=2, N=16, lam=1e-9)
-    report = mixed_decay(cfg, cfg, "anticommutator")
+    report = mixed_decay(cfg, "anticommutator")
     assert report.extras["m2_by_n"] == [0.0, 0.0]
     assert not report.passed
 
@@ -436,7 +461,7 @@ def test_counterexample_exact_rows():
 
 def test_counterexample_mode_via_mixed_decay():
     cfg = small_config(alpha=0.25)
-    report = mixed_decay(cfg, None, "square-of-sum", schedule=[100, 10000])
+    report = mixed_decay(cfg, "square-of-sum", schedule=[100, 10000])
     assert report.passed
     assert len(report.extras["table"]) == 2
 
