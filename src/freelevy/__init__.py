@@ -24,6 +24,5 @@ from .cumulants import (  # noqa: F401
     mixed_free_cumulant,
     moments_to_cumulants,
     power_sum_joint_cumulant,
-    tau_pi,
 )
 from .measures import DensityGrid, GridMeasure, MeasureError  # noqa: F401

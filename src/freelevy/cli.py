@@ -2,8 +2,8 @@
 and the simulation campaigns, with JSON/CSV outputs and run manifests.
 
 Exit codes are a stable contract: 0 success/pass, 1 verification failure,
-2 usage or schema error (a freelevy error class), 3 numeric failure; any other
-exception is an internal error and ends in a traceback.
+2 usage or schema error (a freelevy error class), 3 numeric failure, 4
+internal error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -168,7 +170,7 @@ def _read_json(path, manifest):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, oversized integers
         raise InputError(f"{path} is not JSON: {exc}") from None
 
 
@@ -383,6 +385,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         manifest.write(EXIT_USAGE)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        manifest.write(EXIT_INTERNAL)
+        return EXIT_INTERNAL
     manifest.write(code)
     return code
 

@@ -7,10 +7,10 @@ order: m_n = sum_(s<=n) kappa_s [z^(n-s)] M(z)^s. Each order needs only the
 coefficients [z^j] M(z)^s with s + j <= n, so n orders cost O(n^3)
 arithmetic operations and there is no bound on n.
 
-Mixed cumulants of words stay Mobius sums over NC(n), since there the
-partition lattice is the subject. Joint moments of free variables recurse
-on the block of the first letter and form only label-constant partitions;
-transforms.py builds its moment-level free sums and products on them.
+Mixed cumulants of words and joint moments of free variables recurse on
+the block of the first letter, with no bound on the word length; the joint
+moments form only label-constant partitions. transforms.py builds its free
+sum on the conversions and its free product on the joint moments.
 Everything is exact when fed ints or fractions.Fraction; floats pass
 through unchanged when that is what the caller supplies.
 """
@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import functools
 
-from .partitions import Partition, _mobius_to_top, enumerate_nc
-
-MIXED_WORD_BOUND = 8
-
 
 class CumulantError(ValueError):
-    """Invalid conversion request (length over bound, undefined moments)."""
+    """Invalid conversion request (empty sequence, undefined moments)."""
 
 
 def _check_length(n: int):
@@ -71,53 +67,61 @@ def cumulants_to_moments(kappas) -> list:
     return moments[1:]
 
 
-def tau_pi(pi: Partition, word, tau):
-    """Product over the blocks of pi of the moment of the block's sub-word.
-
-    `tau` is a functional on words: a callable accepting a tuple of the
-    labels from `word` indexed by a block, in increasing position order.
-    """
-    word = tuple(word)
-    if len(word) != pi.n:
-        raise CumulantError(f"word length {len(word)} != partition size {pi.n}")
-    out = 1
-    for block in pi.blocks:
-        sub = tuple(word[i - 1] for i in block)
-        value = tau(sub)
-        if value is None:
-            raise CumulantError(f"moment functional undefined on sub-word {sub}")
-        out = out * value
-    return out
-
-
 def mixed_free_cumulant(word, tau):
     """Mixed free cumulant R[a_u(1), ..., a_u(n)] of a word of variables.
 
-    Sums Mob(pi, 1) * tau_pi over pi in NC(n). Vanishes whenever the word
-    mixes at least two free variables (the defining property used to reduce
-    joint cumulants of free sums to per-summand ones).
+    tau(w) sums, over the block V of the first letter, kappa(w_V) times tau
+    of each gap between consecutive elements of V and of the tail after V;
+    the term V = w is kappa(w), so kappa(w) is tau(w) minus the other terms.
+    Each sub-word is evaluated once per call, and the empty word as 1 without
+    calling `tau`. Vanishes whenever the word mixes at least two free
+    variables (the defining property used to reduce joint cumulants of free
+    sums to per-summand ones).
     """
     word = tuple(word)
     _check_length(len(word))
-    if len(word) > MIXED_WORD_BOUND:
-        raise CumulantError(f"word length {len(word)} exceeds the bound {MIXED_WORD_BOUND}")
-    total = 0
-    for pi in enumerate_nc(len(word)):
-        total = total + _mobius_to_top(pi) * tau_pi(pi, word, tau)
-    return total
+
+    @functools.cache
+    def moment(sub):
+        value = tau(sub) if sub else 1
+        if value is None:
+            raise CumulantError(f"moment functional undefined on sub-word {sub}")
+        return value
+
+    @functools.cache
+    def cumulant(sub):
+        # V = sub is kappa(sub) itself; any other V has a first position j
+        # that it leaves out, after the head sub[:j]
+        return moment(sub) - sum(block(sub[:j], sub[j:], 1) for j in range(1, len(sub)))
+
+    @functools.cache
+    def block(head, rest, gap=0):
+        # V's letters so far are `head`, the last just before `rest`: close V
+        # here, or extend it to rest[i] past a gap of at least `gap` letters
+        total = cumulant(head) * moment(rest)
+        for i in range(gap, len(rest)):
+            total = total + moment(rest[:i]) * block(head + rest[i : i + 1], rest[i + 1 :])
+        return total
+
+    return cumulant(word)
 
 
 def word_functional_from_moments(moments):
-    """Functional on power-words of a single variable: tau[X^a X^b ...] = m_(a+b+...)."""
+    """Functional on power-words of a single variable: tau[X^a X^b ...] = m_(a+b+...).
+
+    The empty word has moment 1; a letter below 1 raises CumulantError.
+    """
     moments = list(moments)
 
     def tau(sub):
+        if any(letter < 1 for letter in sub):
+            raise CumulantError(f"power-word letters must be >= 1, got {tuple(sub)}")
         total = sum(sub)
         if total > len(moments):
             raise CumulantError(
                 f"moment m_{total} required but only {len(moments)} supplied"
             )
-        return moments[total - 1]
+        return moments[total - 1] if total else 1
 
     return tau
 
@@ -167,25 +171,17 @@ def power_sum_joint_cumulant(powers, moments, count):
     """Joint cumulant of power sums of `count` free identically distributed terms.
 
     For one summand X with the given moments, computes
-    R(X^u(1), ..., X^u(k)) by the Mobius sum; the joint cumulant of the sums
+    R(X^u(1), ..., X^u(k)) by `mixed_free_cumulant`; the joint cumulant of the sums
     over `count` free copies is count times that, since mixed cumulants
     across distinct summands vanish. Also returns the defect
     count * (R(...) - m_(u(1)+...+u(k))), the quantity whose vanishing in the
     limit drives joint convergence of the variation tuple.
     """
     powers = tuple(int(u) for u in powers)
-    if not powers or any(u < 1 for u in powers):
-        raise CumulantError(f"powers must be positive, got {powers}")
-    moments = list(moments)
-    total_order = sum(powers)
-    if total_order > len(moments):
-        raise CumulantError(
-            f"need moments up to order {total_order}, got {len(moments)}"
-        )
     tau = word_functional_from_moments(moments)
+    # tau rejects powers below 1 and a word beyond the supplied moments
     r_one = mixed_free_cumulant(powers, tau)
-    defect = count * (r_one - moments[total_order - 1])
-    return count * r_one, defect
+    return count * r_one, count * (r_one - tau(powers))
 
 
 def free_poisson_moments(lam, n: int) -> list:
@@ -195,13 +191,11 @@ def free_poisson_moments(lam, n: int) -> list:
 
 __all__ = [
     "CumulantError",
-    "MIXED_WORD_BOUND",
     "cumulants_to_moments",
     "free_joint_functional",
     "free_poisson_moments",
     "mixed_free_cumulant",
     "moments_to_cumulants",
     "power_sum_joint_cumulant",
-    "tau_pi",
     "word_functional_from_moments",
 ]

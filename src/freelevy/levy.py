@@ -497,7 +497,7 @@ def bp_limit_check(family, ns) -> BPReport:
 
 def bernoulli_family(lam):
     """N -> (1 - lam/N) delta_0 + (lam/N) delta_1, exact masses."""
-    if not (_is_real(lam) and math.isfinite(lam)):
+    if not _is_real(lam):
         raise LevyError(f"lam must be a finite real number, got {lam!r}")
 
     def family(n):

@@ -31,8 +31,12 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """True for Python and numpy reals (Fractions too); False for bools and all else."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for finite Python and numpy reals (Fractions too); False for bools and all else."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return real and math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
 
 
 def _is_real_pairs(value) -> bool:

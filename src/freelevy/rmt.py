@@ -86,13 +86,13 @@ class SimConfig:
             raise SimError(f"time steps must be >= 1, got {self.N}")
         if not (0 < self.t <= 1):
             raise SimError(f"terminal time must be in (0, 1], got {self.t}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise SimError(f"jump rate lam must be finite and > 0, got {self.lam}")
+        if not self.lam > 0:
+            raise SimError(f"jump rate lam must be > 0, got {self.lam}")
         self.jump = [(float(x), float(m)) for x, m in self.jump]
-        if not all(math.isfinite(x) and abs(x) > 1e-12 for x, _ in self.jump):
-            raise SimError("jump atoms must be finite and nonzero")
-        if not all(math.isfinite(m) and m >= 0 for _, m in self.jump):
-            raise SimError("jump masses must be finite and >= 0")
+        if not all(abs(x) > 1e-12 for x, _ in self.jump):
+            raise SimError("jump atoms must be nonzero")
+        if not all(m >= 0 for _, m in self.jump):
+            raise SimError("jump masses must be >= 0")
         total = sum(m for _, m in self.jump)
         if abs(total - 1.0) > 1e-9:
             raise SimError(f"jump masses must sum to 1, got {total}")

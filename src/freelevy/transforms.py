@@ -25,18 +25,18 @@ Numeric conventions, fixed here and relied on by the tests:
 
 G and G' are one sum over the measure, and every density output (free
 convolutions, powers, stieltjes_density) goes through one Richardson
-inversion. The moment-level free sum and product are words in the one joint
-moment functional of cumulants.py, with no order bound.
+inversion. The moment-level free sum adds free cumulants, and the free
+product is the word (ab)^n in the joint moment functional of cumulants.py;
+neither has an order bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .cumulants import free_joint_functional
+from .cumulants import cumulants_to_moments, free_joint_functional, moments_to_cumulants
 from .measures import DensityGrid, GridMeasure, MeasureError, point_mass
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
@@ -327,20 +327,13 @@ def free_multiply_moments(ma, mb, n: int) -> list:
 
 
 def free_convolve_moments(ma, mb, n: int) -> list:
-    """First n moments of a + b for free a, b, via the joint word expansion.
-
-    Expands (a+b)^n into words and evaluates each word with the free joint
-    moment functional, so the result is independent of cumulant additivity
-    (which the tests then verify against it).
-    """
+    """First n moments of a + b for free a, b: free cumulants add, so these are
+    cumulants_to_moments(kappa(a) + kappa(b)). Exact for exact inputs, no bound on n."""
     ma, mb = list(ma), list(mb)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each summand")
-    tau = free_joint_functional({"a": ma[:n], "b": mb[:n]})
-    return [
-        sum(tau(word) for word in itertools.product("ab", repeat=order))
-        for order in range(1, n + 1)
-    ]
+    ka, kb = moments_to_cumulants(ma[:n]), moments_to_cumulants(mb[:n])
+    return cumulants_to_moments([x + y for x, y in zip(ka, kb)])
 
 
 def stieltjes_density(mu: GridMeasure, xs) -> np.ndarray:

@@ -349,7 +349,10 @@ def test_sim_non_integer_field_exit_2(tmp_path, capsys, field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("decay_threshold", True), ("decay_threshold", "0.5"), ("t", True), ("t", "1"),
-     ("lam", True), ("alpha", "0.25"), ("jump", [["1", 1.0]])],
+     ("lam", True), ("alpha", "0.25"), ("jump", [["1", 1.0]]),
+     ("decay_threshold", math.nan), ("t", math.inf), ("lam", math.nan),
+     pytest.param("lam", 10**400, id="lam-401-digits"),
+     ("jump", [[1.0, math.inf]])],
 )
 def test_sim_non_real_field_exit_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, d=4, N=4, **{field: value})
@@ -378,7 +381,9 @@ _A = [[[1.0, 0.0], [0.0, 0.0]]]
      ("B", {"A": _A, "B": [[0.0, 2.0], [0.0, 2.0]]}),
      ("A", {"B": _B, "A": [[["1", 0.0], [0.0, 0.0]]]}),
      ("A", {"B": _B, "A": [[[True, 0.0], [0.0, 0.0]]]}),
-     ("A", {"B": _B, "A": [[1.0, 0.0], [0.0, 0.0]]})],
+     ("A", {"B": _B, "A": [[1.0, 0.0], [0.0, 0.0]]}),
+     ("B", {"A": _A, "B": [[[0.0, math.nan], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]}),
+     ("A", {"B": _B, "A": [[[math.inf, 0.0], [0.0, 0.0]]]})],
 )
 def test_sim_matcauchy_missing_or_malformed_inputs_exit_2(tmp_path, capsys, key, fields):
     cfg = write_config(tmp_path, d=10, **fields)
@@ -446,7 +451,7 @@ _CONFIG = {"d": 4, "trials": 2, "master_seed": 5, "N": 4, "t": 1.0, "lam": 1.0,
            "jump": [[1.0, 1.0]], "k_max": 3}
 
 
-# argv, the JSON given as --input (levy) or --config (sim), text the error must hold
+# argv, the JSON (or raw text) given as --input (levy) or --config (sim), text the error must hold
 @pytest.mark.parametrize(
     "argv, data, named",
     [pytest.param(["levy", "to-pair"], dict(_TRIPLE, rho=[1]), "rho", id="rho-list"),
@@ -456,6 +461,13 @@ _CONFIG = {"d": 4, "trials": 2, "master_seed": 5, "N": 4, "t": 1.0, "lam": 1.0,
      pytest.param(["levy", "to-pair"], dict(_TRIPLE, rho={"atoms": [[1.0]]}), "rho atoms",
                   id="atom-not-a-pair"),
      pytest.param(["levy", "to-pair"], dict(_TRIPLE, eta="x"), "eta", id="eta-string"),
+     pytest.param(["levy", "to-pair"], dict(_TRIPLE, eta=math.nan), "eta", id="eta-nan"),
+     pytest.param(["levy", "to-pair"], dict(_TRIPLE, a=-math.inf), "a must", id="a-inf"),
+     pytest.param(["levy", "to-pair"], dict(_TRIPLE, eta=10**400), "eta", id="eta-401-digits"),
+     pytest.param(["levy", "to-pair"], '{"eta": %s, "a": 0, "rho": {}}' % ("1" * 5000),
+                  "is not JSON", id="eta-5000-digits"),
+     pytest.param(["levy", "to-triple"], {"gamma": 0.0, "sigma": {"atoms": [[1.0, math.nan]]}},
+                  "sigma atoms", id="sigma-mass-nan"),
      pytest.param(["levy", "variation", "--p", "pow:x"], _TRIPLE, "--p", id="p-pow"),
      pytest.param(["levy", "variation", "--p", "poly:a"], _TRIPLE, "--p", id="p-poly"),
      pytest.param(["levy", "variation", "--p", "pow:2,3"], _TRIPLE, "--p", id="p-pow-list"),
@@ -478,7 +490,7 @@ _CONFIG = {"d": 4, "trials": 2, "master_seed": 5, "N": 4, "t": 1.0, "lam": 1.0,
 def test_malformed_input_exit_2(tmp_path, capsys, argv, data, named):
     if data is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         argv = argv + ["--config" if argv[0] == "sim" else "--input", str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -493,16 +505,30 @@ def test_unknown_bp_family_is_refused_by_the_parser(capsys):
     assert "--family" in capsys.readouterr().err
 
 
-def test_internal_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+def run_with_a_bug(tmp_path, capsys, monkeypatch, where):
     import freelevy.cli as cli
 
     def bug(*args, **kwargs):
         raise TypeError("synthetic internal error")
 
-    monkeypatch.setattr(cli, "verify_variation", bug)
-    cfg = write_config(tmp_path)
-    with pytest.raises(TypeError, match="synthetic internal error"):
-        main(["sim", "variation", "--config", str(cfg)])
+    monkeypatch.setattr(cli, where, bug)
+    cfg = write_config(tmp_path, k=2)
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "sim", "variation", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 4
+    assert "Traceback" in err and err.rstrip().endswith("TypeError: synthetic internal error")
+    return out_dir / "variation_k2.manifest.json"
+
+
+def test_internal_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    manifest = run_with_a_bug(tmp_path, capsys, monkeypatch, "verify_variation")
+    assert not manifest.exists()
+
+
+def test_internal_error_after_the_report_is_in_the_manifest(tmp_path, capsys, monkeypatch):
+    # the CSV writer fails after the report file is written
+    manifest = run_with_a_bug(tmp_path, capsys, monkeypatch, "histogram_csv_lines")
+    assert json.loads(manifest.read_text())["exit_status"] == 4
 
 
 def test_sim_passes_only_the_extras_in_the_config(tmp_path, capsys, monkeypatch):

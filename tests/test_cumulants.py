@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,9 @@ from freelevy.cumulants import (
     mixed_free_cumulant,
     moments_to_cumulants,
     power_sum_joint_cumulant,
-    tau_pi,
     word_functional_from_moments,
 )
-from freelevy.partitions import Partition, enumerate_nc, one_partition, zero_partition
+from freelevy.partitions import _mobius_to_top, enumerate_nc
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=20
@@ -31,8 +32,6 @@ def nc_sum_oracle(values, n, mobius=True):
     With the Mobius weight Mob(pi, 1) this is kappa_n of the moments
     `values`; with weight 1 it is m_n of the cumulants `values`.
     """
-    from freelevy.partitions import _mobius_to_top
-
     total = 0
     for pi in enumerate_nc(n):
         term = _mobius_to_top(pi) if mobius else 1
@@ -57,31 +56,47 @@ def joint_moment_oracle(cumulants, word):
     return total
 
 
-# -- tau_pi --------------------------------------------------------------
+def mobius_sum_oracle(word, tau):
+    """kappa(word) = sum over NC(n) of Mob(pi, 1) times the product over the
+    blocks of pi of tau of the block's sub-word, and the sum of |terms|."""
+    total, scale = 0, 0
+    for pi in enumerate_nc(len(word)):
+        term = _mobius_to_top(pi)
+        for block in pi.blocks:
+            term = term * tau(tuple(word[i - 1] for i in block))
+        total, scale = total + term, scale + abs(term)
+    return total, scale
 
 
-def test_tau_pi_single_block():
-    tau = word_functional_from_moments([1, 2])
-    assert tau_pi(one_partition(2), (1, 1), tau) == 2
+def no_nc_listing(patch):
+    """Make every freelevy module's enumerate_nc raise for the patch's duration."""
+
+    def no_listing(n):
+        raise AssertionError("the library listed NC(n)")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("freelevy") and hasattr(module, "enumerate_nc"):
+            patch.setattr(module, "enumerate_nc", no_listing)
 
 
-def test_tau_pi_product_rule():
-    m1 = Fraction(3, 2)
-    tau = word_functional_from_moments([m1])
-    assert tau_pi(zero_partition(2), (1, 1), tau) == m1 * m1
+# -- power-word functional ---------------------------------------------------
 
 
-def test_tau_pi_spec_example():
-    # pi = {13}{2} on (a,a,a) with m1=1, m2=2 -> tau[a^2] * tau[a] = 2
-    tau = word_functional_from_moments([1, 2])
-    pi = Partition(3, [(1, 3), (2,)])
-    assert tau_pi(pi, (1, 1, 1), tau) == 2
+def test_word_functional_empty_word_and_bad_letters():
+    tau = word_functional_from_moments([1, 2, 7])
+    assert tau(()) == 1
+    assert tau((1, 2)) == 7
+    for word in [(0,), (2, 0), (1, -1)]:
+        with pytest.raises(CumulantError, match="letters must be >= 1"):
+            tau(word)
 
 
 def test_tau_pi_undefined_moment():
     tau = word_functional_from_moments([1])
     with pytest.raises(CumulantError):
-        tau_pi(one_partition(3), (1, 1, 1), tau)
+        mixed_free_cumulant((1, 1, 1), tau)
+    with pytest.raises(CumulantError, match=r"undefined on sub-word \(1, 1\)"):
+        mixed_free_cumulant((1, 1, 1), lambda sub: None if len(sub) == 2 else 1)
 
 
 # -- conversions ----------------------------------------------------------
@@ -193,6 +208,35 @@ def test_mixed_vanishing_exhaustive(n):
             assert mixed_free_cumulant(word, tau) == 0, word
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_mixed_free_cumulant_matches_the_mobius_sum(kind, monkeypatch):
+    rng = random.Random(20261019)
+
+    def value():
+        if kind == "float":
+            return rng.uniform(-2.0, 2.0)
+        return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+
+    cases = []
+    for n in range(1, 11):
+        for _ in range(3 if n <= 8 else 1):
+            # an arbitrary functional on two-label words, and a power word
+            word = tuple(rng.choice("ab") for _ in range(n))
+            cases.append((word, functools.cache(lambda sub: value())))
+            powers = tuple(rng.randint(1, 3) for _ in range(n))
+            moments = [value() for _ in range(sum(powers))]
+            cases.append((powers, word_functional_from_moments(moments)))
+    wants = [mobius_sum_oracle(word, tau) for word, tau in cases]
+    no_nc_listing(monkeypatch)
+    for (word, tau), (want, scale) in zip(cases, wants):
+        got = mixed_free_cumulant(word, tau)
+        if kind == "float":
+            # the Mobius sum cancels heavily, so the scale is the sum of |terms|
+            assert abs(got - want) <= 1e-12 * scale, (word, got, want)
+        else:
+            assert got == want and type(got) is type(want), (word, got, want)
+
+
 def test_free_joint_functional_factorizes():
     tau = free_joint_functional({"a": [Fraction(2, 3)], "b": [Fraction(5, 2)]})
     assert tau(("a", "b")) == Fraction(2, 3) * Fraction(5, 2)
@@ -200,10 +244,7 @@ def test_free_joint_functional_factorizes():
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_free_joint_functional_matches_the_nc_filter_sum(kind, monkeypatch):
-    def no_listing(n):
-        raise AssertionError("free_joint_functional listed NC(n)")
-
-    monkeypatch.setattr("freelevy.cumulants.enumerate_nc", no_listing)
+    no_nc_listing(monkeypatch)
     rng = random.Random(20261018)
 
     def value():
@@ -278,9 +319,25 @@ def test_power_sum_defect_uncentered():
     assert total == 5 * (Fraction(2, 5) - Fraction(1, 25))
 
 
+def test_power_sum_joint_cumulant_of_ten_powers():
+    # R(X, ..., X) with ten letters is kappa_10, and the free Poisson law's
+    # cumulants all equal its rate
+    lam = Fraction(3, 2)
+    moments = free_poisson_moments(lam, 10)
+    total, defect = power_sum_joint_cumulant((1,) * 10, moments, 7)
+    assert total == 7 * lam
+    assert defect == 7 * (lam - moments[9])
+
+
 def test_power_sum_insufficient_moments():
     with pytest.raises(CumulantError):
         power_sum_joint_cumulant((2, 3), [0, 1], 4)
+
+
+@pytest.mark.parametrize("powers", [(), (0,), (2, -1)])
+def test_power_sum_rejects_powers_below_one(powers):
+    with pytest.raises(CumulantError):
+        power_sum_joint_cumulant(powers, [1, 2, 5], 4)
 
 
 # -- additivity via the transforms moment-level convolution ------------------
@@ -291,8 +348,11 @@ def test_cumulant_additivity_under_free_convolution():
 
     ma = [Fraction(1, 2), 1, 2, 5, 3, 11]
     mb = [Fraction(-1, 3), 2, 1, 7, 2, 9]
-    mc = free_convolve_moments(ma, mb, 6)
+    # the moments of a + b as the joint moments of the 2^n words of (a + b)^n
+    tau = free_joint_functional({"a": ma, "b": mb})
+    mc = [sum(tau(word) for word in itertools.product("ab", repeat=n)) for n in range(1, 7)]
     ka = moments_to_cumulants(ma)
     kb = moments_to_cumulants(mb)
     kc = moments_to_cumulants(mc)
     assert kc == [x + y for x, y in zip(ka, kb)]
+    assert free_convolve_moments(ma, mb, 6) == mc

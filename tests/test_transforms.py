@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 
 from freelevy.cumulants import (
     cumulants_to_moments,
+    free_joint_functional,
     free_poisson_moments,
     moments_to_cumulants,
 )
@@ -416,14 +418,35 @@ def test_belinschi_nica_identity_moment_level():
     assert lhs == rhs
 
 
+def word_expansion_oracle(ma, mb, n):
+    """m_order(a + b), order <= n: the joint moments of the 2^order words of (a + b)^order."""
+    tau = free_joint_functional({"a": ma[:n], "b": mb[:n]})
+    return [
+        sum(tau(word) for word in itertools.product("ab", repeat=order))
+        for order in range(1, n + 1)
+    ]
+
+
 def test_free_convolve_moments_matches_cumulant_addition():
-    ma = [Fraction(1), Fraction(2), Fraction(4)]
-    mb = [Fraction(0), Fraction(1), Fraction(0)]
-    got = free_convolve_moments(ma, mb, 3)
-    ka = moments_to_cumulants(ma)
-    kb = moments_to_cumulants(mb)
-    expected = cumulants_to_moments([a + b for a, b in zip(ka, kb)])
-    assert got == expected
+    rng = random.Random(20261019)
+
+    def value():
+        return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+
+    for _ in range(24):
+        n = rng.randint(1, 8)
+        ma, mb = [value() for _ in range(n)], [value() for _ in range(n)]
+        got, want = free_convolve_moments(ma, mb, n), word_expansion_oracle(ma, mb, n)
+        assert got == want and [type(g) for g in got] == [type(w) for w in want], (ma, mb)
+    # above the word expansion's reach: MP(1) boxplus MP(2) is MP(3), and
+    # two unit semicircles sum to the semicircle of variance 2
+    assert free_convolve_moments(free_poisson_moments(1, 16), free_poisson_moments(2, 16), 16) == (
+        free_poisson_moments(3, 16)
+    )
+    semicircle = cumulants_to_moments([0, 1] + [0] * 14)
+    assert free_convolve_moments(semicircle, semicircle, 16) == [
+        2 ** (n // 2) * m for n, m in enumerate(semicircle, start=1)
+    ]
 
 
 # -- Stieltjes inversion roundtrip ----------------------------------------------
