@@ -171,13 +171,63 @@ def _draw_marks(config: SimConfig, trial: int, family: str = "a"):
     return s, u, v
 
 
+def _thresholds(config: SimConfig, n: int) -> list:
+    """lam * (grid time i), i = 0..n: coordinate j is on at step i when u_j <= it."""
+    return [config.lam * (config.t * i / n) for i in range(n + 1)]
+
+
 def _increments(marks, config: SimConfig, n: int):
     """The n increments of X over an even grid of [0, t], one at a time,
     from one trial's (s, u, v) marks."""
     s, u, v = marks
-    diagonals = [v * (u <= config.lam * (config.t * i / n)) for i in range(n + 1)]
+    diagonals = [v * (u <= level) for level in _thresholds(config, n)]
     for prev, cur in zip(diagonals, diagonals[1:]):
         yield hermitize((s * (cur - prev)) @ s)
+
+
+def _fire_steps(u, config: SimConfig, n: int) -> np.ndarray:
+    """The step i in 1..n whose increment carries coordinate j (the least i
+    with u_j <= threshold i), n + 1 for a coordinate that never fires."""
+    return np.searchsorted(_thresholds(config, n), u, side="left")
+
+
+def _fired(marks, config: SimConfig, n: int):
+    """(indices, steps, jumps) of the coordinates that fire on the n-step grid."""
+    _, u, v = marks
+    steps = _fire_steps(u, config, n)
+    fired = np.flatnonzero(steps <= n)
+    return fired, steps[fired], v[fired]
+
+
+def _power_sum_kernel(marks, gram, config: SimConfig, n: int, k: int) -> np.ndarray:
+    """power_sums(_increments(marks, config, n), k) up to rounding, at
+    O(k d^3) instead of O(n k d^3).
+
+    Increment i is s D_i s with D_i = diag(v on the coordinates of step i),
+    so the sum of X_i^k is s D ((G o S) D)^(k-1) s over the fired
+    coordinates, where G = s s is `gram`, D = sum_i D_i and S[j, l] is 1 when
+    j and l fire in the same step."""
+    s = marks[0]
+    fired, steps, jumps = _fired(marks, config, n)
+    factor = gram[np.ix_(fired, fired)] * (steps[:, None] == steps) * jumps
+    acc = s[:, fired] * jumps
+    for _ in range(k - 1):
+        acc = acc @ factor
+    return hermitize(acc @ s[fired, :])
+
+
+def _mixed_kernel(marks_a, marks_b, cross, config: SimConfig, n: int, mode: str) -> np.ndarray:
+    """The sum over i of x_i y_i (mode "product") or of x_i y_i + y_i x_i
+    (mode "anticommutator") for the n increments of two families, up to
+    rounding: s_a ((s_a s_b) o W) s_b over the fired coordinates, where
+    `cross` is s_a s_b and W[j, l] = v_a[j] v_b[l] when coordinate j of
+    family a and coordinate l of family b fire in the same step."""
+    fired_a, steps_a, jumps_a = _fired(marks_a, config, n)
+    fired_b, steps_b, jumps_b = _fired(marks_b, config, n)
+    weights = np.outer(jumps_a, jumps_b) * (steps_a[:, None] == steps_b)
+    middle = cross[np.ix_(fired_a, fired_b)] * weights
+    acc = marks_a[0][:, fired_a] @ middle @ marks_b[0][fired_b, :]
+    return acc + acc.conj().T if mode == "anticommutator" else acc
 
 
 def _variation_matrix(marks, config: SimConfig, k: int) -> np.ndarray:
@@ -373,6 +423,13 @@ def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
     ]
 
 
+def _z_score(mean: float, stderr: float, predicted: float) -> float:
+    """(mean - predicted) / stderr; with no spread, 0 on a match and inf otherwise."""
+    if stderr > 0:
+        return (mean - predicted) / stderr
+    return 0.0 if abs(mean - predicted) <= 1e-12 else math.inf
+
+
 def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
     """Moments of sum X_i^k against the exact variation law, plus the
     Frobenius-distance proxy to s e(t)^k s along a doubling schedule.
@@ -390,9 +447,10 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     def one_trial(trial):
         marks = _draw_marks(config, trial)
         target = _variation_matrix(marks, config, k)
+        gram = marks[0] @ marks[0]
         proxies = []
         for n in schedule:
-            acc = power_sums(_increments(marks, config, n), k)
+            acc = _power_sum_kernel(marks, gram, config, n, k)
             proxies.append(
                 float(np.linalg.norm(acc - target)) / math.sqrt(config.d)
             )
@@ -408,10 +466,7 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     for j in range(orders):
         mean = float(moment_rows[:, j].mean())
         stderr = float(moment_rows[:, j].std(ddof=1)) / math.sqrt(config.trials)
-        if stderr > 0:
-            z = (mean - predicted[j]) / stderr
-        else:
-            z = 0.0 if abs(mean - predicted[j]) <= 1e-12 else math.inf
+        z = _z_score(mean, stderr, predicted[j])
         informational = j + 1 > 4
         ok = abs(z) <= 4.0
         if not informational and not ok:
@@ -522,6 +577,19 @@ def counterexample_rows(alpha: float, ns, t: float = 1.0) -> list:
     return rows
 
 
+def _free_mixed_m2(m1, m2, n: int, mode: str):
+    """tau(A A*) for A the sum over n steps of x_i y_i (mode "product") or
+    of x_i y_i + y_i x_i (mode "anticommutator"), where the x_i and y_i are
+    free and of one law with first and second moments m1 and m2.
+
+    A term with i != j is a word in four distinct free variables, so its
+    value is m1^4; at i = j, tau(x y y x) = m2^2 and tau(x y x y) =
+    2 m1^2 m2 - m1^4. Exact on exact inputs."""
+    if mode == "product":
+        return n * m2**2 + n * (n - 1) * m1**4
+    return 2 * n * ((2 * m1**2 * m2 - m1**4) + m2**2) + 4 * n * (n - 1) * m1**4
+
+
 def mixed_decay(
     config: SimConfig,
     mode: str = "anticommutator",
@@ -532,6 +600,8 @@ def mixed_decay(
     """Second moment of mixed sums of two independent increment families
     along a doubling schedule; passes when it decays from a positive value
     at the first schedule point to below the threshold times that value.
+    The report also carries the free large-d value of m2 at each point and
+    z-scores against it (null with one trial); they do not enter the verdict.
 
     Both families follow the law of `config`; family b draws from the
     config's own "b" streams, independent of family a. mode
@@ -565,16 +635,27 @@ def mixed_decay(
     def one_trial(trial):
         marks_a = _draw_marks(config, trial, "a")
         marks_b = _draw_marks(config, trial, "b")
+        cross = marks_a[0] @ marks_b[0]
         out = []
         for n in ns:
-            acc = np.zeros_like(marks_a[0])
-            for x, y in zip(_increments(marks_a, config, n), _increments(marks_b, config, n)):
-                acc += x @ y + y @ x if mode == "anticommutator" else x @ y
+            acc = _mixed_kernel(marks_a, marks_b, cross, config, n, mode)
             out.append(float(np.trace(acc @ acc.conj().T).real) / config.d)
         return out
 
     rows = np.array(_run_trials(one_trial, config.trials, threads))
     means = rows.mean(axis=0)
+    # the free large-d law: one step is free compound Poisson of rate
+    # delta = lam t / n, so m1 = delta mu1 and m2 = delta mu2 + (delta mu1)^2
+    mu1, mu2 = (sum(mass * x**p for x, mass in config.jump) for p in (1, 2))
+    predicted = []
+    for n in ns:
+        delta = config.lam * config.t / n
+        predicted.append(_free_mixed_m2(delta * mu1, delta * mu2 + (delta * mu1) ** 2, n, mode))
+    if config.trials < 2:
+        zs = [None] * len(ns)
+    else:
+        stderrs = rows.std(axis=0, ddof=1) / math.sqrt(config.trials)
+        zs = [_z_score(float(m), float(e), p) for m, e, p in zip(means, stderrs, predicted)]
     inversions = int(np.sum(np.diff(means) > 0))
     ratio = float(means[-1] / means[0]) if means[0] > 0 else 0.0
     # with no mixed mass at the first point there is no decay to measure
@@ -587,6 +668,8 @@ def mixed_decay(
             "mode": mode,
             "schedule": list(ns),
             "m2_by_n": [float(m) for m in means],
+            "predicted_m2_by_n": predicted,
+            "z_by_n": zs,
             "decay_ratio": ratio,
             "inversions": inversions,
         },

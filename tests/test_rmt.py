@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from freelevy.measures import semicircle
 from freelevy.rmt import (
     SimConfig,
     SimError,
+    _draw_marks,
+    _fire_steps,
+    _free_mixed_m2,
+    _increments,
+    _mixed_kernel,
     _neighbor_distinct_sum,
+    _power_sum_kernel,
     counterexample_rows,
     esd,
     hermitize,
@@ -223,6 +230,74 @@ def test_trace_moments_match_eigenvalues():
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
+# -- rank-structured kernel -----------------------------------------------------------
+
+# (config, grid sizes): lam t < 1 with lam <= 1, lam > 1 with t < 1 (one with
+# lam t = 1), a two-atom law with a negative atom, grids that are not powers of 2
+KERNEL_CASES = [
+    (small_config(d=30, trials=1, t=0.6, lam=0.5), [1, 3, 8]),
+    (small_config(d=40, trials=1, t=0.3, lam=2.5, jump=[[-0.7, 0.4], [1.3, 0.6]]), [5, 13]),
+    (small_config(d=25, trials=1, t=0.5, lam=2.0, jump=[[-1.0, 0.5], [1.0, 0.5]]), [7, 12]),
+]
+
+
+def relative_distance(got, expected):
+    return np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-300)
+
+
+def increment_masks(u, cfg, n):
+    """The coordinates each of `_increments`' n increments carries: with s = 1
+    an increment is diag(cur - prev) exactly."""
+    marks = (np.eye(len(u)), u, np.ones(len(u)))
+    return [np.diag(x).real != 0 for x in _increments(marks, cfg, n)]
+
+
+@pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
+def test_fire_steps_are_the_increment_masks(cfg, ns):
+    for n in ns:
+        on_grid = [cfg.lam * (cfg.t * i / n) for i in range(1, n + 1)]
+        above = [np.nextafter(cfg.lam * cfg.t, 2.0), (1.0 + cfg.lam * cfg.t) / 2, 1.0]
+        below = [np.nextafter(level, 0.0) for level in on_grid]
+        hand_built = np.array(on_grid + above + below)
+        for u in (hand_built, _draw_marks(cfg, 0)[1]):
+            u = u[u <= 1.0]
+            steps, masks = _fire_steps(u, cfg, n), increment_masks(u, cfg, n)
+            for i, mask in enumerate(masks, start=1):
+                assert np.array_equal(steps == i, mask), (n, i)
+            assert set(steps) <= set(range(1, n + 2))
+            assert np.array_equal(steps == n + 1, ~np.any(masks, axis=0))
+
+
+@pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_power_sum_kernel_is_the_dense_power_sum(cfg, ns, k):
+    marks = _draw_marks(cfg, 0)
+    gram = marks[0] @ marks[0]
+    for n in ns:
+        dense = power_sums(_increments(marks, cfg, n), k)
+        assert relative_distance(_power_sum_kernel(marks, gram, cfg, n, k), dense) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
+@pytest.mark.parametrize("mode", ["product", "anticommutator"])
+def test_mixed_kernel_is_the_dense_mixed_sum(cfg, ns, mode):
+    marks_a, marks_b = _draw_marks(cfg, 0, "a"), _draw_marks(cfg, 0, "b")
+    cross = marks_a[0] @ marks_b[0]
+    for n in ns:
+        dense = np.zeros((cfg.d, cfg.d), dtype=complex)
+        for x, y in zip(_increments(marks_a, cfg, n), _increments(marks_b, cfg, n)):
+            dense += x @ y + y @ x if mode == "anticommutator" else x @ y
+        got = _mixed_kernel(marks_a, marks_b, cross, cfg, n, mode)
+        assert relative_distance(got, dense) <= 1e-12
+
+
+def test_kernels_with_no_fired_coordinate_give_zero():
+    cfg = small_config(d=6, trials=1, N=4, lam=1e-9)
+    marks = _draw_marks(cfg, 0)
+    assert not np.any(_power_sum_kernel(marks, marks[0] @ marks[0], cfg, 4, 3))
+    assert not np.any(_mixed_kernel(marks, marks, marks[0] @ marks[0], cfg, 4, "product"))
+
+
 # -- variation verification --------------------------------------------------------
 
 
@@ -288,7 +363,9 @@ def test_verify_variation_means_are_the_public_model(k):
         trace_moments(power_sums(sample_cp_increments(cfg, trial), k), cfg.k_max)
         for trial in (0, 1)
     ])
-    assert [m["mean"] for m in report.moments] == [float(col.mean()) for col in rows.T]
+    # the campaign sums by the rank-structured kernel, so only rounding differs
+    expected = [float(col.mean()) for col in rows.T]
+    assert [m["mean"] for m in report.moments] == pytest.approx(expected, rel=1e-12)
 
 
 def test_verify_variation_needs_two_trials():
@@ -396,6 +473,44 @@ def test_mixed_decay_is_the_public_model(mode):
         acc += x @ y + y @ x if mode == "anticommutator" else x @ y
     m2 = float(np.trace(acc @ acc.conj().T).real) / cfg.d
     assert report.extras["m2_by_n"] == [m2]
+    assert report.extras["z_by_n"] == [None]  # one trial has no standard error
+
+
+@pytest.mark.parametrize("mode", ["anticommutator", "product"])
+def test_free_mixed_m2_is_the_free_joint_functional(mode):
+    delta, mu1, mu2 = Fraction(3, 7), Fraction(-2, 5), Fraction(11, 9)
+    m1, m2 = delta * mu1, delta * mu2 + (delta * mu1) ** 2
+    for n in range(1, 5):
+        labels = [("x", i) for i in range(n)] + [("y", i) for i in range(n)]
+        tau = free_joint_functional({label: [m1, m2] for label in labels})
+        # the words of A = sum_i x_i y_i (+ y_i x_i) and of A*
+        terms = [(("x", i), ("y", i)) for i in range(n)]
+        if mode == "anticommutator":
+            terms += [(("y", i), ("x", i)) for i in range(n)]
+        adjoints = [tuple(reversed(w)) for w in terms]
+        exact = sum(tau(w + w_star) for w in terms for w_star in adjoints)
+        assert _free_mixed_m2(m1, m2, n, mode) == exact
+
+
+def test_mixed_decay_reports_the_free_reference():
+    # centred jumps: m1 = 0, so the anticommutator's m2 is 2 (lam t mu2)^2 / n
+    cfg = small_config(d=40, trials=3, N=16, t=0.8, lam=1.0, jump=[[-1.5, 0.5], [1.5, 0.5]])
+    report = mixed_decay(cfg, "anticommutator")
+    extras = report.extras
+    assert extras["predicted_m2_by_n"] == pytest.approx(
+        [2 * (0.8 * 2.25) ** 2 / n for n in extras["schedule"]], rel=1e-12
+    )
+    rows = []
+    for trial in range(cfg.trials):
+        marks_a, marks_b = _draw_marks(cfg, trial, "a"), _draw_marks(cfg, trial, "b")
+        cross = marks_a[0] @ marks_b[0]
+        accs = [_mixed_kernel(marks_a, marks_b, cross, cfg, n, "anticommutator")
+                for n in extras["schedule"]]
+        rows.append([np.linalg.norm(acc) ** 2 / cfg.d for acc in accs])
+    rows = np.array(rows)
+    stderr = rows.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+    z = (rows.mean(axis=0) - np.array(extras["predicted_m2_by_n"])) / stderr
+    assert extras["z_by_n"] == pytest.approx(list(z), rel=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["anticommutator", "square-of-sum"])
