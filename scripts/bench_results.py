@@ -1,13 +1,14 @@
 """Run every benchmark workload end to end and write one results file.
 
-    python scripts/bench_results.py --out results.json [--seed 1] [--seconds S]
+    python scripts/bench_results.py --out results.json [--seconds S]
         [--workloads free-convolution,...] [--checkout PATH]
 
 For each workload that BENCHMARK.json lists (or the --workloads subset), run
-`perfbench/run.py --trace 0` in the checkout, one workload at a time, and
-keep the last line of its output. The file records the checkout's commit,
-whether its tracked files differ from that commit, nproc, the BLAS thread
-count the launcher pinned, and per workload `wall_s`, `setup_s`,
+`perfbench/run.py --seed 1 --trace 0` in the checkout, one workload at a
+time, and keep the last line of its output. The file records the checkout's
+commit, whether its tracked files differ from that commit (and if so the
+sha256 of `git diff HEAD`, which names the measured tree), nproc, the BLAS
+thread count the launcher pinned, and per workload `wall_s`, `setup_s`,
 `peak_rss_mib`, `correct`, `attempted` and `failed`. --checkout measures
 another checkout (e.g. a parent commit) with this script. --seconds defaults
 to the benchmark's `run_seconds`.
@@ -16,6 +17,7 @@ to the benchmark's `run_seconds`.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -25,12 +27,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+SEED = 1
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--workloads", help="comma-separated subset of BENCHMARK.json's workloads")
     parser.add_argument("--checkout", default=str(ROOT))
@@ -42,8 +44,8 @@ def git(checkout: Path, *args):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+def run_workload(checkout: Path, name: str, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
@@ -69,18 +71,21 @@ def main(argv=None) -> int:
         names = [n for n in names if n in chosen]
     workloads = {}
     for name in names:
-        workloads[name] = run_workload(checkout, name, args.seed, seconds)
+        workloads[name] = run_workload(checkout, name, seconds)
         print(name, json.dumps(workloads[name]), flush=True)
     threads = {w.pop("blas_threads") for w in workloads.values()}
     if len(threads) != 1:
         raise SystemExit(f"the workloads ran with different BLAS thread counts {sorted(threads)}")
+    # tracked files changed on top of that commit, named by the hash of their diff
+    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
+    diff = subprocess.run(["git", "diff", "HEAD"], cwd=checkout, capture_output=True).stdout
     results = {
         "commit": git(checkout, "rev-parse", "HEAD"),
-        # tracked files changed on top of that commit
-        "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        "dirty": dirty,
+        "diff_sha256": hashlib.sha256(diff).hexdigest() if dirty else None,
         "nproc": os.cpu_count(),
         "blas_threads": threads.pop(),
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": seconds,
         "workloads": workloads,
     }

@@ -76,9 +76,15 @@ def test_bench_results_writes_its_schema(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     results = json.loads(out.read_text())
-    assert set(results) == {"commit", "dirty", "nproc", "blas_threads", "seed", "seconds", "workloads"}
+    assert set(results) == {
+        "commit", "dirty", "diff_sha256", "nproc", "blas_threads", "seed", "seconds", "workloads",
+    }
     assert results["commit"] is None or len(results["commit"]) == 40
     assert isinstance(results["dirty"], bool)
+    # a dirty tree is named by the hash of its diff against the commit
+    assert (results["diff_sha256"] is None) == (not results["dirty"])
+    assert results["dirty"] is False or len(results["diff_sha256"]) == 64
+    assert results["seed"] == 1
     assert results["nproc"] == os.cpu_count()
     assert results["blas_threads"] == 1
     assert list(results["workloads"]) == ["free-convolution"]

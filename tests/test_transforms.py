@@ -133,6 +133,28 @@ def test_cauchy_kernel_matches_the_direct_complex_sum(law, power):
         assert np.array_equal(got, [transform(mu, z) for z in zs]), count
 
 
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("law", ["grid", "atom_grid_mix"])
+def test_cauchy_kernel_outside_the_real_arithmetic_range(law, power):
+    # where (u^2 + b^2)^p would underflow (a point right above a node at a
+    # tiny Im z) or overflow (a huge |Re z| or Im z), the sum still matches
+    # the complex terms, and points of both kinds in one call are the
+    # scalar calls bit for bit
+    mu = semicircle(1.0, n_points=1001) if law == "grid" else atom_grid_mix()
+    transform, sign = (cauchy, 1.0) if power == 1 else (cauchy_derivative, -1.0)
+    tiny, huge = (1e-170, 1e160) if power == 1 else (1e-100, 1e100)
+    node = mu.grid.xs()[400]
+    zs = np.array([node + 1j * tiny, node + 1e-60j, huge + 1j, -huge + 0.5j, 0.3 + 1j * huge,
+                   node + 1e-3j])
+    got = transform(mu, zs)
+    assert np.all(np.isfinite(got))
+    terms = sign * cauchy_terms(mu, zs, power)
+    want = np.array([complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms])
+    rel = np.abs(got - want) / np.abs(terms).sum(axis=1)
+    assert rel.max() <= 1e-13, rel
+    assert np.array_equal(got, [transform(mu, z) for z in zs])
+
+
 # -- voiculescu -----------------------------------------------------------
 
 
