@@ -7,6 +7,16 @@ order: m_n = sum_(s<=n) kappa_s [z^(n-s)] M(z)^s. Each order needs only the
 coefficients [z^j] M(z)^s with s + j <= n, so n orders cost O(n^3)
 arithmetic operations and there is no bound on n.
 
+When every input is an int or a Fraction, the recursion runs on integers:
+with D the lcm of the denominators, input n is multiplied by D^n and output
+n divided by D^n once at the end. This is exact because the formula is
+homogeneous under the dilation kappa_s -> c^s kappa_s, m_n -> c^n m_n, and
+the recursion only adds, subtracts and multiplies, so integers in give
+integers out. Output n is a Fraction when one of inputs 1..n is, and an int
+otherwise, just as the recursion on the Fractions themselves would give.
+Any other input, and any list holding a float, runs the recursion on the
+values as given.
+
 Mixed cumulants of words and joint moments of free variables recurse on
 the block of the first letter, with no bound on the word length; the joint
 moments form only label-constant partitions. transforms.py builds its free
@@ -18,6 +28,8 @@ through unchanged when that is what the caller supplies.
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 
 
 class CumulantError(ValueError):
@@ -29,42 +41,66 @@ def _check_length(n: int):
         raise CumulantError("sequence must have length >= 1")
 
 
-def _extend_powers(powers, moments, n: int):
-    """Add the coefficients [z^j] M(z)^s with s + j = n to `powers`.
+def _recursion(values, to_cumulants: bool) -> list:
+    """The order-by-order solution of the functional equation, either way.
 
-    powers[s][j] = [z^j] M(z)^s for M(z) = sum_i moments[i] z^i, with
-    moments[0] = 1. On entry `powers` holds every s + j <= n - 1; the new
-    coefficients read moments only up to m_(n-1).
+    powers[s][j] = [z^j] M(z)^s; order n first adds the coefficients with
+    s + j = n, which read moments only up to m_(n-1), then splits
+    m_n = rest + kappa_n, with rest the terms s < n of
+    sum_s kappa_s [z^(n-s)] M(z)^s. It adds, subtracts and multiplies only.
     """
-    powers[0].append(0)
-    for s in range(1, n):
-        j = n - s
-        prev = powers[s - 1]
-        powers[s].append(sum(moments[i] * prev[j - i] for i in range(j + 1)))
-    powers.append([1])
+    moments, kappas, powers = [1], [], [[1]]
+    for n, value in enumerate(values, 1):
+        powers[0].append(0)
+        for s in range(1, n):
+            prev, j = powers[s - 1], n - s
+            powers[s].append(sum(moments[i] * prev[j - i] for i in range(j + 1)))
+        powers.append([1])
+        rest = sum(kappas[s - 1] * powers[s][n - s] for s in range(1, n))
+        if to_cumulants:
+            moments.append(value)
+            kappas.append(value - rest)
+        else:
+            kappas.append(value)
+            moments.append(rest + value)
+    return kappas if to_cumulants else moments[1:]
+
+
+def _convert(values, to_cumulants: bool) -> list:
+    """Run `_recursion` on integers when every value is an int or Fraction
+    (the rescaling and the output types are in the module docstring)."""
+    _check_length(len(values))
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return _recursion(values, to_cumulants)
+    d = math.lcm(*(v.denominator for v in values))
+    first = next((i for i, v in enumerate(values) if isinstance(v, Fraction)), len(values))
+    scaled, scale = [], 1
+    for v in values:
+        scale *= d
+        scaled.append(v.numerator * (scale // v.denominator))
+    out, scale = [], 1
+    for n, r in enumerate(_recursion(scaled, to_cumulants), 1):
+        scale *= d
+        out.append(Fraction(r, scale) if n > first else r // scale)
+    return out
 
 
 def moments_to_cumulants(moments) -> list:
-    """Free cumulants (kappa_1..kappa_n) from raw moments (m_1..m_n)."""
-    moments = [1] + list(moments)
-    _check_length(len(moments) - 1)
-    kappas, powers = [], [[1]]
-    for n in range(1, len(moments)):
-        _extend_powers(powers, moments, n)
-        rest = sum(kappas[s - 1] * powers[s][n - s] for s in range(1, n))
-        kappas.append(moments[n] - rest)
-    return kappas
+    """Free cumulants (kappa_1..kappa_n) from raw moments (m_1..m_n).
+
+    Ints in give ints out; kappa_n is a Fraction when one of m_1..m_n is.
+    Floats, alone or mixed with exact values, run the recursion as given.
+    """
+    return _convert(list(moments), to_cumulants=True)
 
 
 def cumulants_to_moments(kappas) -> list:
-    """Raw moments from free cumulants; exact inverse of moments_to_cumulants."""
-    kappas = list(kappas)
-    _check_length(len(kappas))
-    moments, powers = [1], [[1]]
-    for n in range(1, len(kappas) + 1):
-        _extend_powers(powers, moments, n)
-        moments.append(sum(kappas[s - 1] * powers[s][n - s] for s in range(1, n + 1)))
-    return moments[1:]
+    """Raw moments from free cumulants; exact inverse of moments_to_cumulants.
+
+    Ints in give ints out; m_n is a Fraction when one of kappa_1..kappa_n is.
+    Floats, alone or mixed with exact values, run the recursion as given.
+    """
+    return _convert(list(kappas), to_cumulants=False)
 
 
 def mixed_free_cumulant(word, tau):

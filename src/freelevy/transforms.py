@@ -186,16 +186,20 @@ def _accelerated_fixed_point(step, z: np.ndarray, what: str, start=None):
         w1 = step(za, wa)
         resid = np.abs(w1 - wa)
         done = resid <= FIXED_POINT_TOL * np.maximum(1.0, np.abs(w1))
-        w2 = step(za, w1)
-        denom = w2 - 2.0 * w1 + wa
-        safe = np.abs(denom) > 1e-280
-        aitken = np.where(
-            safe, wa - (w1 - wa) ** 2 / np.where(safe, denom, 1.0), w2
-        )
-        # damp oscillation / bad extrapolation back to the plain iterate
-        aitken = np.where(aitken.imag > 0, aitken, (w2 + w1) / 2.0)
-        w[active] = np.where(done, w1, aitken)
         idx = np.flatnonzero(active)
+        w[idx[done]] = w1[done]
+        # the Steffensen step only for the points still moving
+        moving = ~done
+        if moving.any():
+            w0, w1m = wa[moving], w1[moving]
+            w2 = step(za[moving], w1m)
+            denom = w2 - 2.0 * w1m + w0
+            safe = np.abs(denom) > 1e-280
+            aitken = np.where(
+                safe, w0 - (w1m - w0) ** 2 / np.where(safe, denom, 1.0), w2
+            )
+            # damp oscillation / bad extrapolation back to the plain iterate
+            w[idx[moving]] = np.where(aitken.imag > 0, aitken, (w2 + w1m) / 2.0)
         active[idx[done]] = False
         if not active.any():
             return w
@@ -230,12 +234,14 @@ def voiculescu(mu: GridMeasure, z):
     floor = 3.0 * mu.grid.h if mu.grid is not None else 0.0
 
     def step(za, wa):
-        low = wa.imag <= floor
+        # the returned iterate is checked too: a converged one is not fed back
+        w = za - _h_fun(mu, wa)
+        low = (wa.imag <= floor) | (w.imag <= floor)
         if low.any():
             raise ConvergenceError(
                 f"F-inversion left the resolved upper half-plane at z = {za[low][0]}"
             )
-        return za - _h_fun(mu, wa)
+        return w
 
     phi = _accelerated_fixed_point(step, pts, "F-inversion") - pts
     return complex(phi[0]) if arr.ndim == 0 else phi

@@ -177,6 +177,78 @@ def test_roundtrip_exact(moments):
     assert moments_to_cumulants(cumulants_to_moments(moments)) == moments
 
 
+def test_mixed_exact_inputs_match_the_nc_sum():
+    rng = random.Random(20261020)
+    for _ in range(12):
+        values = [rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 8))])
+                  for _ in range(8)]
+        kappas, moments = moments_to_cumulants(values), cumulants_to_moments(values)
+        for n in range(1, 9):
+            assert kappas[n - 1] == nc_sum_oracle(values, n), values
+            assert moments[n - 1] == nc_sum_oracle(values, n, mobius=False), values
+
+
+@given(st.lists(rationals, min_size=1, max_size=8), rationals)
+@settings(max_examples=100, deadline=None)
+def test_dilation_covariance(values, c):
+    # kappa_s -> c^s kappa_s maps m_n -> c^n m_n, and the other way round
+    dilated = [c**n * v for n, v in enumerate(values, 1)]
+    assert cumulants_to_moments(dilated) == [
+        c**n * m for n, m in enumerate(cumulants_to_moments(values), 1)]
+    assert moments_to_cumulants(dilated) == [
+        c**n * k for n, k in enumerate(moments_to_cumulants(values), 1)]
+
+
+def test_order_24_round_trip_with_distinct_prime_denominators():
+    primes = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
+    assert len(primes) == 24
+    values = [Fraction((-1) ** p * (p + 1) // 2, p) for p in primes]
+    assert cumulants_to_moments(moments_to_cumulants(values)) == values
+    assert moments_to_cumulants(cumulants_to_moments(values)) == values
+
+
+def test_exact_conversions_do_linear_fraction_arithmetic(monkeypatch):
+    # ints and Fractions are solved on integers: a Fraction only per output
+    calls = []
+
+    def counting(name, op):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return op(*args, **kwargs)
+
+        return staticmethod(wrapped) if name == "__new__" else wrapped
+
+    values = [Fraction(n, n + 1) for n in range(1, 25)] + [Fraction(-3, 7)] * 8
+    for name in ["__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__pow__", "__neg__"]:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    for convert in (moments_to_cumulants, cumulants_to_moments):
+        calls[:] = []
+        convert(values)
+        assert len(calls) <= len(values), (convert.__name__, len(calls))
+
+
+def test_output_types():
+    # ints in, ints out
+    for convert in (moments_to_cumulants, cumulants_to_moments):
+        assert all(type(v) is int for v in convert([3, -1, 0, 7, 2]))
+    # output n is a Fraction once one of the first n inputs is one
+    assert repr(cumulants_to_moments([1, Fraction(1, 2)])) == "[1, Fraction(3, 2)]"
+    assert repr(moments_to_cumulants([3, -1, Fraction(4), 0])) == (
+        "[3, -10, Fraction(67, 1), Fraction(-545, 1)]")
+    # floats, alone or among exact values, as the recursion on the values gives
+    pinned = [
+        (cumulants_to_moments, [0.5, -1.25, 2.0, 0.1], "[0.5, -1.0, 0.25, 5.4125]"),
+        (moments_to_cumulants, [0.5, -1.25, 2.0, 0.1], "[0.5, -1.5, 4.125, -10.4625]"),
+        (cumulants_to_moments, [1, Fraction(1, 2), 0.25, -3], "[1, Fraction(3, 2), 2.75, 2.5]"),
+        (moments_to_cumulants, [Fraction(1, 3), 2, 0.5, Fraction(-1, 7)],
+         "[Fraction(1, 3), Fraction(17, 9), -1.4259259259259258, -6.6490299823633165]"),
+        (moments_to_cumulants, [2, -0.0, 1, 0], "[2, -4.0, 17.0, -88.0]"),
+    ]
+    for convert, values, want in pinned:
+        assert repr(convert(values)) == want, (convert.__name__, values)
+
+
 # -- mixed cumulants -------------------------------------------------------
 
 

@@ -357,6 +357,40 @@ def test_non_convergence_names_the_sweeps_and_the_residual(monkeypatch):
     assert residual > transforms.FIXED_POINT_TOL
 
 
+def test_steffensen_step_runs_only_on_points_still_moving():
+    # w -> z has its fixed point as the first iterate: one sweep, one call
+    sizes = []
+
+    def to_z(z, w):
+        sizes.append(w.size)
+        return z.copy()
+
+    z = np.array([1j, 2 + 3j])
+    assert np.array_equal(transforms._accelerated_fixed_point(to_z, z, "constant"), z)
+    assert sizes == [2]
+    # a contraction to z from a start that is right at the first point only
+    sizes[:] = []
+
+    def halve(z, w):
+        sizes.append(w.size)
+        return z + 0.5 * (w - z)
+
+    w = transforms._accelerated_fixed_point(halve, z, "halving", start=z + np.array([0, 1]))
+    assert np.allclose(w, z, rtol=0, atol=1e-12)
+    assert sizes[:2] == [2, 1]
+
+
+def test_voiculescu_rejects_a_converged_iterate_at_the_floor(monkeypatch):
+    # h moves w down by less than the tolerance, across the 3-grid-step floor:
+    # the first iterate has converged, and is below the floor
+    mu = semicircle(1.0)
+    floor = 3.0 * mu.grid.h
+    monkeypatch.setattr(transforms, "_h_fun", lambda mu, w: np.full(w.shape, 2e-13j))
+    z = 0.5 + 1j * (floor + 1e-13)
+    with pytest.raises(ConvergenceError, match=r"resolved upper half-plane at z = \(0\.5\+"):
+        voiculescu(mu, np.array([5j, z]))
+
+
 # -- boxplus powers -----------------------------------------------------------
 
 
