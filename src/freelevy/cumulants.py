@@ -8,11 +8,15 @@ coefficients [z^j] M(z)^s with s + j <= n, so n orders cost O(n^3)
 arithmetic operations and there is no bound on n.
 
 When every input is an int or a Fraction, the recursion runs on integers:
-with D the lcm of the denominators, input n is multiplied by D^n and output
-n divided by D^n once at the end. This is exact because the formula is
-homogeneous under the dilation kappa_s -> c^s kappa_s, m_n -> c^n m_n, and
-the recursion only adds, subtracts and multiplies, so integers in give
-integers out. Output n is a Fraction when one of inputs 1..n is, and an int
+input n is multiplied by c^n and output n divided by c^n once at the end.
+This is exact because the formula is homogeneous under the dilation
+kappa_s -> c^s kappa_s, m_n -> c^n m_n, and the recursion only adds,
+subtracts and multiplies, so integers in give integers out. The factor c
+grows only as the orders need: walking n upward, whenever den(v_n) does not
+divide c^n, c is multiplied by den(v_n) / gcd(den(v_n), c^n). So c divides
+the lcm D of the denominators: N inputs with den(v_n) = b^n, such as the
+moments of atoms on b-ths, get c = b, where D = b^N would scale input n by
+b^(N n). Output n is a Fraction when one of inputs 1..n is, and an int
 otherwise, just as the recursion on the Fractions themselves would give.
 Any other input, and any list holding a float, runs the recursion on the
 values as given.
@@ -27,8 +31,8 @@ through unchanged when that is what the caller supplies.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -54,7 +58,7 @@ def _recursion(values, to_cumulants: bool) -> list:
         powers[0].append(0)
         for s in range(1, n):
             prev, j = powers[s - 1], n - s
-            powers[s].append(sum(moments[i] * prev[j - i] for i in range(j + 1)))
+            powers[s].append(sum(map(operator.mul, moments[: j + 1], prev[j::-1])))
         powers.append([1])
         rest = sum(kappas[s - 1] * powers[s][n - s] for s in range(1, n))
         if to_cumulants:
@@ -72,17 +76,29 @@ def _convert(values, to_cumulants: bool) -> list:
     _check_length(len(values))
     if not all(isinstance(v, (int, Fraction)) for v in values):
         return _recursion(values, to_cumulants)
-    d = math.lcm(*(v.denominator for v in values))
+    c = _dilation(values)
     first = next((i for i, v in enumerate(values) if isinstance(v, Fraction)), len(values))
     scaled, scale = [], 1
     for v in values:
-        scale *= d
+        scale *= c
         scaled.append(v.numerator * (scale // v.denominator))
     out, scale = [], 1
     for n, r in enumerate(_recursion(scaled, to_cumulants), 1):
-        scale *= d
+        scale *= c
         out.append(Fraction(r, scale) if n > first else r // scale)
     return out
+
+
+def _dilation(values) -> int:
+    """A factor c with den(v_n) | c^n for every n, grown only where an order
+    needs it; every prime's exponent in c is at most its exponent in the lcm
+    of the denominators."""
+    c = 1
+    for n, v in enumerate(values, 1):
+        den = v.denominator
+        if den > 1:
+            c *= den // math.gcd(den, c**n)
+    return c
 
 
 def moments_to_cumulants(moments) -> list:
@@ -116,30 +132,44 @@ def mixed_free_cumulant(word, tau):
     """
     word = tuple(word)
     _check_length(len(word))
+    return _MixedCumulants(tau).cumulant(word)
 
-    @functools.cache
-    def moment(sub):
-        value = tau(sub) if sub else 1
-        if value is None:
-            raise CumulantError(f"moment functional undefined on sub-word {sub}")
-        return value
 
-    @functools.cache
-    def cumulant(sub):
+class _MixedCumulants:
+    """The recursion of `mixed_free_cumulant`, memoised in dicts that the
+    instance holds: nothing refers back to it, so a call leaves no reference
+    cycle behind for the garbage collector."""
+
+    def __init__(self, tau):
+        self.tau, self.moments, self.cumulants, self.blocks = tau, {}, {}, {}
+
+    def moment(self, sub):
+        if sub not in self.moments:
+            value = self.tau(sub) if sub else 1
+            if value is None:
+                raise CumulantError(f"moment functional undefined on sub-word {sub}")
+            self.moments[sub] = value
+        return self.moments[sub]
+
+    def cumulant(self, sub):
         # V = sub is kappa(sub) itself; any other V has a first position j
         # that it leaves out, after the head sub[:j]
-        return moment(sub) - sum(block(sub[:j], sub[j:], 1) for j in range(1, len(sub)))
+        if sub not in self.cumulants:
+            self.cumulants[sub] = self.moment(sub) - sum(
+                self.block(sub[:j], sub[j:], 1) for j in range(1, len(sub)))
+        return self.cumulants[sub]
 
-    @functools.cache
-    def block(head, rest, gap=0):
+    def block(self, head, rest, gap=0):
         # V's letters so far are `head`, the last just before `rest`: close V
         # here, or extend it to rest[i] past a gap of at least `gap` letters
-        total = cumulant(head) * moment(rest)
-        for i in range(gap, len(rest)):
-            total = total + moment(rest[:i]) * block(head + rest[i : i + 1], rest[i + 1 :])
-        return total
-
-    return cumulant(word)
+        key = (head, rest, gap)
+        if key not in self.blocks:
+            total = self.cumulant(head) * self.moment(rest)
+            for i in range(gap, len(rest)):
+                extended = self.block(head + rest[i : i + 1], rest[i + 1 :])
+                total = total + self.moment(rest[:i]) * extended
+            self.blocks[key] = total
+        return self.blocks[key]
 
 
 def word_functional_from_moments(moments):
@@ -174,33 +204,43 @@ def free_joint_functional(moments_by_label):
     partitions are formed. Raises CumulantError when a label occurs in the
     word more often than it has cumulants.
     """
-    cumulants = {
-        label: moments_to_cumulants(m) for label, m in moments_by_label.items()
-    }
+    return _FreeJoint(
+        {label: moments_to_cumulants(m) for label, m in moments_by_label.items()}
+    )
 
-    @functools.cache
-    def joint(word):
-        return block(word[0], word[1:], 1) if word else 1
 
-    @functools.cache
-    def block(label, rest, size):
-        # the first letter's block has `size` letters, the last just before
-        # `rest`: close it here, or extend it to a later `label` in `rest`
-        total = cumulants[label][size - 1] * joint(rest)
-        for i, letter in enumerate(rest):
-            if letter == label:
-                total = total + joint(rest[:i]) * block(label, rest[i + 1 :], size + 1)
-        return total
+class _FreeJoint:
+    """The tau of `free_joint_functional`: per-label cumulants and memo dicts
+    held by the instance, so no reference cycle outlives a call."""
 
-    def tau(word):
+    def __init__(self, cumulants):
+        self.cumulants, self.joints, self.blocks = cumulants, {}, {}
+
+    def __call__(self, word):
         word = tuple(word)
         for label in set(word):
             count = word.count(label)
-            if count > len(cumulants.get(label, ())):
+            if count > len(self.cumulants.get(label, ())):
                 raise CumulantError(f"cumulant of order {count} required for {label!r}")
-        return joint(word)
+        return self.joint(word)
 
-    return tau
+    def joint(self, word):
+        if word not in self.joints:
+            self.joints[word] = self.block(word[0], word[1:], 1) if word else 1
+        return self.joints[word]
+
+    def block(self, label, rest, size):
+        # the first letter's block has `size` letters, the last just before
+        # `rest`: close it here, or extend it to a later `label` in `rest`
+        key = (label, rest, size)
+        if key not in self.blocks:
+            total = self.cumulants[label][size - 1] * self.joint(rest)
+            for i, letter in enumerate(rest):
+                if letter == label:
+                    extended = self.block(label, rest[i + 1 :], size + 1)
+                    total = total + self.joint(rest[:i]) * extended
+            self.blocks[key] = total
+        return self.blocks[key]
 
 
 def power_sum_joint_cumulant(powers, moments, count):

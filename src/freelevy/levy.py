@@ -40,7 +40,16 @@ def _check_json(data, kind: str, reals, measure: str):
             raise LevyError(f"{key} must be a real number, got {data[key]!r}")
 
 
+# ORIGIN_TOL as an exact ratio of integers
+_TOL_NUM, _TOL_DEN = ORIGIN_TOL.as_integer_ratio()
+
+
 def _is_zero(x) -> bool:
+    """abs(x) <= ORIGIN_TOL. A Fraction compared with a float is compared with
+    the float's exact value, so a Fraction is tested on integers against that
+    value, with no conversion of the float and no new Fraction per call."""
+    if isinstance(x, Fraction):
+        return abs(x.numerator) * _TOL_DEN <= _TOL_NUM * x.denominator
     return abs(x) <= ORIGIN_TOL
 
 
@@ -62,7 +71,8 @@ def _exact(x):
 
 
 def _min_1_x2(x):
-    return _where(x * x < 1, x * x, 1)
+    x2 = x * x
+    return _where(x2 < 1, x2, 1)
 
 
 def _tilt_weight(x):
@@ -83,19 +93,22 @@ def _tail_x(x):
 
 def _sigma_weight(x):
     """x^2 / (1 + x^2), the density of sigma against rho."""
-    return x * x / (1 + x * x)
+    x2 = x * x
+    return x2 / (1 + x2)
 
 
 def _rho_weight(x):
     """(1 + x^2) / x^2, the density of rho against sigma (finite at x = 0,
     where LevyMeasure zeroes the grid node)."""
-    return (1 + x * x) / _where(x == 0, 1, x * x)
+    x2 = x * x
+    return (1 + x2) / _where(x == 0, 1, x2)
 
 
 def _tilt(x):
     """x^3 / (1 + x^2) on [-1, 1], -x / (1 + x^2) outside: gamma = eta - int tilt drho."""
     x = _exact(x)
-    return _where(abs(x) <= 1, x**3 / (1 + x * x), -x / (1 + x * x))
+    den = 1 + x * x
+    return _where(abs(x) <= 1, x**3 / den, -x / den)
 
 
 def _reweighted(mu: GridMeasure, f):
@@ -262,14 +275,10 @@ def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
     """kappa_1 = eta + int_{|x|>1} x, kappa_2 = a + int x^2, kappa_m = int x^m."""
     if n < 1:
         raise LevyError(f"cumulant order n must be >= 1, got {n}")
-    out = []
-    for m in range(1, n + 1):
-        if m == 1:
-            out.append(t.eta + t.rho.integrate(_tail_x))
-        elif m == 2:
-            out.append(t.a + t.rho.moment(2))
-        else:
-            out.append(t.rho.moment(m))
+    out = [t.eta + t.rho.integrate(_tail_x)]
+    if n > 1:
+        moments = t.rho.moments(n)
+        out += [t.a + moments[1], *moments[2:]]
     return out
 
 
@@ -293,15 +302,14 @@ def compound_poisson_triple(lam, jump: GridMeasure) -> GeneratingTriple:
 
 
 def _merge_atom_images(pairs):
-    pairs = sorted(pairs, key=lambda p: float(p[0]))
-    merged = []
-    for loc, mass in pairs:
-        if merged and abs(float(loc) - float(merged[-1][0])) <= ORIGIN_TOL * max(
-            1.0, abs(float(loc))
-        ):
+    images = sorted(((float(loc), loc, mass) for loc, mass in pairs), key=lambda t: t[0])
+    merged, head = [], None  # head: float(merged[-1][0])
+    for y, loc, mass in images:
+        if merged and abs(y - head) <= ORIGIN_TOL * max(1.0, abs(y)):
             merged[-1] = (merged[-1][0], merged[-1][1] + mass)
         else:
             merged.append((loc, mass))
+            head = y
     return merged
 
 
@@ -392,7 +400,8 @@ def variation_triple(t: GeneratingTriple, vm: VariationMap) -> GeneratingTriple:
     def compensator(x):
         x = _exact(x)
         px = vm.p(x)
-        return _where((0 < abs(px)) & (abs(px) <= 1), px, 0) - b * _truncated_x(x)
+        size = abs(px)
+        return _where((0 < size) & (size <= 1), px, 0) - b * _truncated_x(x)
 
     integral = t.rho.integrate(compensator)
     if not np.isfinite(float(integral)):

@@ -5,6 +5,14 @@ Atom locations and masses are plain Python numbers and may be exact
 are exact. Density values live on a uniform grid and integrate by the
 trapezoid rule.
 
+`GridMeasure.moments(n)` takes all n atom moments in one pass when every
+atom location and mass is an int or a Fraction: with Q and S the lcm of the
+location and the mass denominators, sum m x^k is the integer
+sum (S m) (Q x)^k over S Q^k, and the integer powers are running products.
+Order k is an int when every atom is, and a Fraction otherwise, as
+`moment(k)` gives; the grid part is added per order as `moment(k)` adds it.
+Atoms of any other type (float, bool, numpy) take `moment(k)` per order.
+
 JSON schema (field names are part of the external interface):
 {"atoms": [[x, m], ...], "grid": {"lo": ..., "hi": ..., "h": ..., "values": [...]}}
 with "grid" null for purely atomic measures.
@@ -15,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +95,25 @@ class DensityGrid:
         return cls(float(lo), float(hi), float(xs[1] - xs[0]), np.clip(fn(xs), 0, None))
 
 
+def _exact_atom_moments(atoms, n: int):
+    """sum(m * x**k) over the atoms for k = 1..n, or None unless every location
+    and mass is an int or a Fraction."""
+    types = {type(v) for atom in atoms for v in atom}
+    if not types <= {int, Fraction}:
+        return None
+    q = math.lcm(*(x.denominator for x, _ in atoms))
+    s = math.lcm(*(m.denominator for _, m in atoms))
+    locs = [x.numerator * (q // x.denominator) for x, _ in atoms]
+    powers = [m.numerator * (s // m.denominator) for _, m in atoms]
+    out, den = [], s
+    for _ in range(n):
+        powers = [p * x for p, x in zip(powers, locs)]
+        den *= q
+        total = sum(powers)
+        out.append(Fraction(total, den) if Fraction in types else total)
+    return out
+
+
 @dataclass
 class GridMeasure:
     atoms: list = field(default_factory=list)
@@ -126,7 +154,17 @@ class GridMeasure:
         return self.integrate(lambda x: x**k)
 
     def moments(self, n: int) -> list:
-        return [self.moment(k) for k in range(1, n + 1)]
+        """[moment(k) for k in 1..n], `==` and of the same types; exact atoms
+        take one pass (see the module docstring)."""
+        exact = _exact_atom_moments(self.atoms, n)
+        if exact is None:
+            return [self.moment(k) for k in range(1, n + 1)]
+        if self.grid is not None:
+            exact = [
+                total + self.grid.integral(lambda x, k=k: x**k)
+                for k, total in enumerate(exact, 1)
+            ]
+        return exact
 
     def support_bounds(self):
         los, his = [], []

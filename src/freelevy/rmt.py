@@ -248,19 +248,28 @@ def variation_target(config: SimConfig, k: int, trial: int = 0, family: str = "a
 
 def power_sums(increments, k: int) -> np.ndarray:
     """Sum of k-th matrix powers of the increments (any iterable of them)."""
+    return _power_sum_ladder(increments, k)[-1]
+
+
+def _power_sum_ladder(increments, k: int) -> list:
+    """[power_sums(increments, j) for j in 1..k]: each increment's powers are
+    running products, so k powers cost k - 1 matrix products."""
     if k < 1:
         raise SimError(f"power must be >= 1, got {k}")
-    acc = None
+    sums = None
     for x in increments:
+        if sums is None:
+            sums = [np.zeros(x.shape, dtype=complex) for _ in range(k)]
         p = x
-        for _ in range(k - 1):
+        sums[0] += p
+        for acc in sums[1:]:
             p = p @ x
-        if acc is None:
-            acc = np.zeros(p.shape, dtype=complex)
-        acc += p
-    if acc is None:
+            acc += p
+    if sums is None:
         raise SimError("power_sums needs at least one increment")
-    return hermitize(acc)
+    for j, acc in enumerate(sums):
+        sums[j] = hermitize(acc)  # in place: one sum at a time is held twice
+    return sums
 
 
 def esd(h: np.ndarray) -> np.ndarray:
@@ -535,7 +544,7 @@ def verify_integral_identity(config: SimConfig, k: int = 2, threads: int = 1) ->
             sample_gue(config.d, rng) / config.N for _ in range(config.N)
         ]
         lhs = _neighbor_distinct_sum(increments, k)
-        values = {("y", j): power_sums(increments, j) for j in range(1, k + 1)}
+        values = {("y", j): y for j, y in enumerate(_power_sum_ladder(increments, k), 1)}
         rhs = poly.evaluate(values, one=np.eye(config.d))
         scale = np.linalg.norm(lhs)
         err = np.linalg.norm(lhs - rhs) / (scale if scale > 0 else 1.0)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from freelevy.cumulants import (
     CumulantError,
+    _dilation,
     cumulants_to_moments,
     free_joint_functional,
     free_poisson_moments,
@@ -205,6 +207,21 @@ def test_order_24_round_trip_with_distinct_prime_denominators():
     values = [Fraction((-1) ** p * (p + 1) // 2, p) for p in primes]
     assert cumulants_to_moments(moments_to_cumulants(values)) == values
     assert moments_to_cumulants(cumulants_to_moments(values)) == values
+
+
+@given(st.lists(rationals, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_dilation_factor_clears_every_order_and_divides_the_lcm(values):
+    c = _dilation(values)
+    assert all(c**n % v.denominator == 0 for n, v in enumerate(values, 1))
+    assert math.lcm(*(v.denominator for v in values)) % c == 0
+
+
+def test_dilation_factor_stays_small_for_moments_of_atoms_on_thirds():
+    # den(m_n) = 3^n: c = 3 scales by 3^n where the lcm 3^12 scaled by 3^(12 n)
+    values = [Fraction(1, 3**n) for n in range(1, 13)]
+    assert _dilation(values) == 3
+    assert _dilation([Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), 5]) == 8
 
 
 def test_exact_conversions_do_linear_fraction_arithmetic(monkeypatch):
@@ -428,3 +445,24 @@ def test_cumulant_additivity_under_free_convolution():
     kc = moments_to_cumulants(mc)
     assert kc == [x + y for x, y in zip(ka, kb)]
     assert free_convolve_moments(ma, mb, 6) == mc
+
+
+def test_joint_functionals_leave_no_reference_cycles():
+    # each call's memo lives in dicts that nothing refers back to, so the
+    # cyclic collector finds nothing once a call has returned
+    from freelevy.transforms import free_multiply_moments
+
+    ma = [Fraction(n, 3) for n in range(1, 9)]
+    mb = [Fraction(n * n, 5) for n in range(1, 9)]
+    tau = word_functional_from_moments([1, 2, 5, 14, 42, 132])
+    calls = [
+        lambda: free_multiply_moments(ma, mb, 8),
+        lambda: mixed_free_cumulant("abc", lambda w: Fraction(len(w))),
+        lambda: mixed_free_cumulant((1, 2, 1, 2), tau),
+        lambda: power_sum_joint_cumulant((1, 2, 1), [1, 2, 5, 14], 7),
+        lambda: free_joint_functional({"a": ma, "b": mb})(("a", "b") * 4),
+    ]
+    for call in calls:
+        gc.collect()
+        call()
+        assert gc.collect() == 0

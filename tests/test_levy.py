@@ -7,11 +7,13 @@ import pytest
 
 from freelevy.cumulants import cumulants_to_moments
 from freelevy.levy import (
+    ORIGIN_TOL,
     GeneratingPair,
     GeneratingTriple,
     LevyError,
     LevyMeasure,
     VariationMap,
+    _is_zero,
     bernoulli_family,
     bp_limit_check,
     compound_poisson_triple,
@@ -279,6 +281,39 @@ def test_free_poisson_cumulants_from_triple():
 def test_delta2_cumulants_from_triple():
     t = triple(0, 0, [(2, 1)])
     assert triple_to_cumulants(t, 4) == [2, 4, 8, 16]
+
+
+def test_triple_to_cumulants_builds_one_fraction_per_order(monkeypatch):
+    # the atom moments take one pass on integers: a Fraction per order, plus
+    # a few per atom for kappa_1 (at the parent, nine per order)
+    atoms = [(Fraction(-2, 3), Fraction(1, 4)), (Fraction(1, 3), Fraction(5, 12)),
+             (Fraction(4, 3), Fraction(1, 3))]
+    t = variation_triple(triple(Fraction(1, 2), Fraction(3, 7), atoms), VariationMap.power(3))
+    calls = []
+    new = Fraction.__new__
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    counts = {}
+    for n in (10, 20):
+        calls[:] = []
+        triple_to_cumulants(t, n)
+        counts[n] = len(calls)
+    assert counts[10] <= 10 + 4 * len(atoms), counts
+    assert counts[20] - counts[10] <= 10, counts
+
+
+def test_is_zero_agrees_with_the_float_comparison():
+    tol = Fraction(ORIGIN_TOL)
+    tiny = Fraction(1, 10**40)
+    for x in [tol - tiny, tol, tol + tiny, Fraction(1, 10**12), Fraction(0), Fraction(3, 2)]:
+        for value in (x, -x):
+            assert _is_zero(value) is (abs(value) <= 1e-12), value
+    assert [_is_zero(v) for v in (0, 1, 1e-12, -1e-12, 2e-12, -0.0)] == [
+        True, False, True, True, False, True]
 
 
 def test_series_oracle_matches_power_series():
