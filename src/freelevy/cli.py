@@ -95,7 +95,7 @@ class _ManifestWriter:
             "exit_status": exit_status,
             "version": __version__,
         }
-        manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=2))
+        manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
     def emit(self, path: Path, text: str):
         Path(path).write_text(text)
@@ -103,7 +103,7 @@ class _ManifestWriter:
 
 
 def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _flag_numbers(flag: str, text: str, kind) -> list:

@@ -62,6 +62,9 @@ class DensityGrid:
     hi: float
     h: float
     values: np.ndarray
+    # the Chebyshev moments of the grid's Cauchy sum, kept by transforms;
+    # values are read-only, so they cannot go stale
+    chebyshev_moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -76,6 +79,7 @@ class DensityGrid:
         if np.any(self.values < -1e-12):
             raise MeasureError("density values must be nonnegative")
         self.values = np.clip(self.values, 0.0, None)
+        self.values.flags.writeable = False
 
     def xs(self) -> np.ndarray:
         return self.lo + self.h * np.arange(len(self.values))

@@ -346,7 +346,7 @@ class SimReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        return json.dumps(self.to_json(), sort_keys=True, indent=2, allow_nan=False)
 
     def summary(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -356,6 +356,8 @@ class SimReport:
             parts.append(f"k={self.extras['k']}")
         if zs:
             parts.append(f"maxz={max(zs):.2f}")
+        if any("z_reason" in m for m in self.moments):
+            parts.append("z=null")
         if "relative_error" in self.extras:
             parts.append(f"relerr={self.extras['relative_error']:.2e}")
         if "decay_ratio" in self.extras:
@@ -432,11 +434,15 @@ def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
     ]
 
 
-def _z_score(mean: float, stderr: float, predicted: float) -> float:
-    """(mean - predicted) / stderr; with no spread, 0 on a match and inf otherwise."""
+NO_SPREAD = "no spread across the trials, and the mean misses the prediction"
+
+
+def _z_score(mean: float, stderr: float, predicted: float):
+    """(mean - predicted) / stderr; with no spread, 0 on a match and None (a
+    JSON null, for the reason NO_SPREAD) otherwise."""
     if stderr > 0:
         return (mean - predicted) / stderr
-    return 0.0 if abs(mean - predicted) <= 1e-12 else math.inf
+    return 0.0 if abs(mean - predicted) <= 1e-12 else None
 
 
 def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
@@ -480,19 +486,20 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
         stderr = float(moment_rows[:, j].std(ddof=1)) / math.sqrt(config.trials)
         z = _z_score(mean, stderr, predicted[j])
         informational = j + 1 > 4
-        ok = abs(z) <= 4.0
+        ok = z is not None and abs(z) <= 4.0
         if not informational and not ok:
             all_pass = False
-        moments.append(
-            {
-                "order": j + 1,
-                "mean": mean,
-                "stderr": stderr,
-                "predicted": predicted[j],
-                "z": z,
-                "informational": informational,
-            }
-        )
+        entry = {
+            "order": j + 1,
+            "mean": mean,
+            "stderr": stderr,
+            "predicted": predicted[j],
+            "z": z,
+            "informational": informational,
+        }
+        if z is None:
+            entry["z_reason"] = NO_SPREAD
+        moments.append(entry)
 
     proxy_means = proxy_rows.mean(axis=0)
     inversions = int(np.sum(np.diff(proxy_means) > 0))
@@ -613,7 +620,8 @@ def mixed_decay(
     along a doubling schedule; passes when it decays from a positive value
     at the first schedule point to below the threshold times that value.
     The report also carries the free large-d value of m2 at each point and
-    z-scores against it (null with one trial); they do not enter the verdict.
+    z-scores against it (null with one trial, and null with the reason
+    NO_SPREAD when the trials agree and miss it); they do not enter the verdict.
     m2 = (1/d) tr(S S*) is the squared Frobenius norm of S, which matches the
     trace of the product to 1e-15 relative.
 
@@ -674,20 +682,19 @@ def mixed_decay(
     ratio = float(means[-1] / means[0]) if means[0] > 0 else 0.0
     # with no mixed mass at the first point there is no decay to measure
     passed = bool(means[0] > 0) and inversions <= 1 and ratio <= decay_threshold
+    extras = {
+        "mode": mode,
+        "schedule": list(ns),
+        "m2_by_n": [float(m) for m in means],
+        "predicted_m2_by_n": predicted,
+        "z_by_n": zs,
+        "decay_ratio": ratio,
+        "inversions": inversions,
+    }
+    if config.trials >= 2 and None in zs:
+        extras["z_reason"] = NO_SPREAD
     return SimReport(
-        config=config.to_json(),
-        moments=[],
-        histograms={},
-        extras={
-            "mode": mode,
-            "schedule": list(ns),
-            "m2_by_n": [float(m) for m in means],
-            "predicted_m2_by_n": predicted,
-            "z_by_n": zs,
-            "decay_ratio": ratio,
-            "inversions": inversions,
-        },
-        passed=passed,
+        config=config.to_json(), moments=[], histograms={}, extras=extras, passed=passed
     )
 
 

@@ -20,6 +20,20 @@ Numeric conventions, fixed here and relied on by the tests:
   summation order depends on the block's row count: so a point's G does not
   depend on the other points of the call, and a vector call equals the
   scalar calls bit for bit.
+* G's grid sum (p = 1, not G') has a far field. With c and r the centre and
+  half-width of the nodes, zeta = (z - c) / r, s = sqrt(zeta - 1) sqrt(zeta + 1)
+  and q = 1 / (zeta + s), it is (2 / (r s)) (mu_0 / 2 + sum_k mu_k q^k), with
+  the Chebyshev moments mu_k = sum_j w_j T_k((x_j - c) / r) of the weights
+  (Olver & Nadakuditi, arXiv:1203.1958). The moments for k < CHEBYSHEV_TERMS
+  = 192 are computed once per grid and kept on it; grid values are
+  read-only, so they cannot go stale. The dropped tail is at most
+  2 (|zeta| + 1) |q|^K / (|s| (1 - |q|)) relative to sum |w_j| / |z - x_j|, and
+  a point takes the expansion only where that is <= CHEBYSHEV_TOL = 1e-14,
+  which leaves the rest of the 1e-13 to rounding. Points near the nodes, where
+  |q| -> 1, grids of one node, atoms and G' keep the direct sum. The series is
+  summed per point by Horner in q over runs of CHEBYSHEV_RUN = 16 terms, and
+  the runs by Horner in q^16; complex products run out of place, since
+  numpy's in-place product can round differently by array length.
 * Stieltjes inversion evaluates G on the lines Im z in {1e-2, 5e-3, 2.5e-3}
   and Richardson-extrapolates to the real axis (the three-point rule kills
   the O(eps) and O(eps^2) terms); densities are clipped at zero and
@@ -67,6 +81,9 @@ FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 500
 KERNEL_CHUNK = 1 << 16  # elements of one (points x nodes) block of the grid sum
 KERNEL_RANGE = (1e-50, 1e50)  # Im z and |Re z - x_j| whose squares stay well inside float range
+CHEBYSHEV_TERMS = 192  # K, the terms of the grid sum's far-field expansion
+CHEBYSHEV_RUN = 16  # terms per run of its Horner sum in q
+CHEBYSHEV_TOL = 1e-14  # its truncation bound, relative to sum |w_j| / |z - x_j|
 
 
 class TransformError(ValueError):
@@ -105,24 +122,79 @@ def _cauchy_sum(mu: GridMeasure, z, power):
     for x, m in mu.atoms:
         accumulate(out, float(m) / (pts - float(x)) ** power, out=out)
     if mu.grid is not None:
-        accumulate(out, _trapz_kernel(mu.grid.values, mu.grid.xs(), pts, power), out=out)
+        accumulate(out, _trapz_kernel(mu.grid, pts, power), out=out)
     return out[0] if arr.ndim == 0 else out
 
 
-def _trapz_kernel(vals, xs, pts, power):
-    """sum_j w_j / (z - x_j)^power over the trapezoid weights w_j, in real
-    arithmetic on blocks of at most KERNEL_CHUNK elements, each row reduced
-    by its own row sum; points outside KERNEL_RANGE divide in complex
-    arithmetic instead (see the module docstring)."""
+def _chebyshev_moments(weighted, xs):
+    """(c, r, runs): the centre c and half-width r of the nodes, and the
+    moments mu_k = sum_j w_j T_k(y_j), y_j = (x_j - c) / r, for
+    k < CHEBYSHEV_TERMS, with mu_0 halved, in rows of CHEBYSHEV_RUN."""
+    c, r = (xs[0] + xs[-1]) / 2.0, (xs[-1] - xs[0]) / 2.0
+    y = np.clip((xs - c) / r, -1.0, 1.0)
+    mu = np.empty(CHEBYSHEV_TERMS)
+    mu[0] = weighted.sum() / 2.0
+    t_prev, t = np.ones_like(y), y
+    for k in range(1, CHEBYSHEV_TERMS):
+        mu[k] = (weighted * t).sum()
+        t_prev, t = t, 2.0 * y * t - t_prev
+    return c, r, mu.reshape(-1, CHEBYSHEV_RUN)
+
+
+def _chebyshev_far_field(moments, z):
+    """(take, g): the points z whose truncation bound holds, and the grid sum
+    there from its Chebyshev expansion (see the module docstring)."""
+    c, r, runs = moments
+    with np.errstate(all="ignore"):  # points that overflow fail the bound
+        zeta = (z - c) / r
+        s = np.sqrt(zeta - 1.0) * np.sqrt(zeta + 1.0)
+        q = 1.0 / (zeta + s)  # not zeta - s, which cancels far out
+        aq = np.abs(q)
+        bound = 2.0 * (np.abs(zeta) + 1.0) * aq**CHEBYSHEV_TERMS / (np.abs(s) * (1.0 - aq))
+    take = (aq < 1.0) & (bound <= CHEBYSHEV_TOL)  # |q| rounds to 1 near the nodes
+    q, s = q[take], s[take]
+    series = np.empty(q.shape, dtype=complex)
+    step = KERNEL_CHUNK // (2 * len(runs))
+    for i in range(0, len(q), step):
+        qb = q[i : i + step]
+        # every run at once by Horner in q (the products out of place)
+        acc = np.repeat(runs[:, -1:].astype(complex), len(qb), axis=1)
+        for col in runs.T[-2::-1]:
+            acc = acc * qb
+            acc.real += col[:, None]
+        # then the runs by Horner in q^CHEBYSHEV_RUN
+        qrun, part = qb**CHEBYSHEV_RUN, acc[-1]
+        for row in acc[-2::-1]:
+            part = part * qrun + row
+        series[i : i + step] = part
+    return take, 2.0 * series / (r * s)
+
+
+def _trapz_kernel(grid, pts, power):
+    """sum_j w_j / (z - x_j)^power over the trapezoid weights w_j. For power 1,
+    points whose a-priori bound allows it take the Chebyshev expansion, from
+    moments kept on the grid. The other points are summed in real arithmetic
+    on blocks of at most KERNEL_CHUNK elements, each row reduced by its own
+    row sum; points outside KERNEL_RANGE divide in complex arithmetic
+    instead (see the module docstring)."""
+    xs = grid.xs()
     # trapezoid weights: h inside, h/2 at the ends
     h = xs[1] - xs[0] if len(xs) > 1 else 1.0
     w = np.full(len(xs), h)
     w[0] = w[-1] = h / 2.0
-    weighted = vals * w
+    weighted = grid.values * w
     flat = pts.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    direct = np.ones(flat.shape, dtype=bool)
+    if power == 1 and xs[-1] > xs[0]:
+        if grid.chebyshev_moments is None:
+            grid.chebyshev_moments = _chebyshev_moments(weighted, xs)
+        take, g = _chebyshev_far_field(grid.chebyshev_moments, flat)
+        out[take] = g
+        direct = ~take
     lo, hi = KERNEL_RANGE
     far = np.maximum(np.abs(flat.real - xs[0]), np.abs(flat.real - xs[-1]))
-    real = (flat.imag >= lo) & (flat.imag <= hi) & (far <= hi)
+    real = direct & (flat.imag >= lo) & (flat.imag <= hi) & (far <= hi)
     step = max(1, KERNEL_CHUNK // max(len(xs), 1))
     # the blocks run inline, not in a helper: a block's temporaries are
     # freed only after the next block's exist, so glibc's malloc reuses them
@@ -147,9 +219,8 @@ def _trapz_kernel(vals, xs, pts, power):
             re[rows] = ((u * u - b * b) * r).sum(axis=1)
             r *= u
             im[rows] = -2.0 * b[:, 0] * r.sum(axis=1)
-    out = np.empty(flat.shape, dtype=complex)
     out[real] = re + 1j * im
-    slow = np.flatnonzero(~real)
+    slow = np.flatnonzero(direct & ~real)
     for i in range(0, len(slow), step):
         rows = slow[i : i + step]
         d = flat[rows, None] - xs

@@ -370,6 +370,30 @@ def test_sim_variation_one_trial_exit_2(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def strict_json(text):
+    """The JSON in text, refusing the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_sim_variation_with_no_spread_writes_strict_json(tmp_path, capsys):
+    # at lam = 1e-9 no step fires, so both trials give the same moments: the
+    # spread is 0, the mean misses, and each z is null with its reason
+    cfg = write_config(tmp_path, d=2, trials=2, N=4, lam=1e-9, jump=[[1.0, 1.0]], k=2)
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "sim", "variation", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL k=2 z=null n=4"
+    report = strict_json((out_dir / "variation_k2.json").read_text())
+    assert not report["passed"]
+    for m in report["moments"]:
+        assert m["stderr"] == 0.0 and m["z"] is None
+        assert m["z_reason"] == "no spread across the trials, and the mean misses the prediction"
+    assert strict_json((out_dir / "variation_k2.manifest.json").read_text())["exit_status"] == 1
+
+
 _B = [[[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]
 _A = [[[1.0, 0.0], [0.0, 0.0]]]
 

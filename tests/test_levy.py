@@ -50,6 +50,27 @@ def test_levy_measure_zeroes_origin_cell():
     assert rho.grid.values[2] == 0.0
 
 
+@pytest.mark.parametrize("atoms, grid, raises", [
+    # the mass bounds the integral of min(1, x^2) and is well inside the guard
+    ([(Fraction(1, 3), Fraction(2, 7)), (-2, 5)], None, False),
+    # mass past the guard, but near the origin: only the exact integral passes it
+    ([(Fraction(1, 10**7), 10**13), (Fraction(-1, 10**7), 10**13)], None, False),
+    # mass at or past the guard where min(1, x^2) = 1: the integral decides
+    ([(3, 10**12)], None, False),
+    ([(3, 10**12 + 1)], None, True),
+    ([(1.5, 6e11), (-2.0, 5e11)], None, True),
+    ([], DensityGrid(1.0, 2.0, 0.5, [4e12, 4e12, 4e12]), True),
+    ([], DensityGrid(1e-9, 3e-9, 1e-9, [1e20, 1e20, 1e20]), False),
+    ([(2.0, math.inf)], None, True),
+])
+def test_levy_measure_integrability_guard(atoms, grid, raises):
+    if raises:
+        with pytest.raises(LevyError, match="exceeds the 1000000000000.0 guard"):
+            LevyMeasure(atoms, grid)
+    else:
+        LevyMeasure(atoms, grid)
+
+
 # -- triple <-> pair ----------------------------------------------------------
 
 

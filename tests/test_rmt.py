@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from freelevy.cumulants import free_joint_functional, mixed_free_cumulant
+from freelevy import rmt
 from freelevy.measures import semicircle
 from freelevy.rmt import (
     SimConfig,
@@ -289,6 +290,17 @@ def test_mixed_kernel_is_the_dense_mixed_sum(cfg, ns, mode):
             dense += x @ y + y @ x if mode == "anticommutator" else x @ y
         got = _mixed_kernel(marks_a, marks_b, cross, cfg, n, mode)
         assert relative_distance(got, dense) <= 1e-12
+
+
+def test_mixed_decay_with_no_spread_gives_null_z_scores(monkeypatch):
+    # trials that agree exactly and miss the free prediction have no z-score:
+    # the report says null and why, and stays standard JSON
+    rows = [1.0, 0.5, 0.25, 0.125]
+    monkeypatch.setattr(rmt, "_run_trials", lambda fn, trials, threads: [rows] * trials)
+    report = mixed_decay(small_config(d=10, trials=2), schedule=[8, 16, 32, 64])
+    assert report.extras["z_by_n"] == [None] * 4
+    assert report.extras["z_reason"] == rmt.NO_SPREAD
+    assert "Infinity" not in report.dumps()
 
 
 def test_kernels_with_no_fired_coordinate_give_zero():

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -99,3 +100,42 @@ def test_bench_results_rejects_an_unknown_workload(tmp_path):
     proc = run_script("bench_results.py", "--out", str(tmp_path / "b.json"), "--workloads", "nope")
     assert proc.returncode != 0
     assert "unknown workloads ['nope']" in proc.stderr
+
+
+def test_bench_pairs_prints_medians_spread_and_wins():
+    # one checkout on both sides: the smoke run checks the protocol, not a gain
+    proc = run_script(
+        "bench_pairs.py", "--base", str(ROOT), "--change", str(ROOT),
+        "--workload", "exact-cold", "--pairs", "2", "--first-seed", "5", "--seconds", "0",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair 1 seed 5", "pair 2 seed 6"]
+    assert lines[2].split() == [
+        "metric", "base_median", "change_median", "base_iqr", "gap", "wins", "claimable",
+    ]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rows = [line.split() for line in lines[3:-2]]
+    assert [r[0] for r in rows] == [m["name"] for m in bench["end_to_end"]]
+    for name, base, change, iqr, gap, wins, claimable in rows:
+        assert float(base) > 0 and float(change) > 0 and float(iqr) >= 0
+        assert wins in ("0/2", "1/2", "2/2") and claimable in ("yes", "no")
+    assert lines[-2:] == [
+        "base: 0 of 2 runs not correct, failed share 0/" + lines[-2].rsplit("/", 1)[1],
+        "change: 0 of 2 runs not correct, failed share 0/" + lines[-1].rsplit("/", 1)[1],
+    ]
+
+
+def test_bench_pairs_claims_only_a_steady_gain():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base = [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0]
+    row = bench_pairs.compare(base, [b - 0.5 for b in base], "lower")
+    assert row["wins"] == 10 and row["claimable"]
+    assert row["gap"] == pytest.approx(0.5) and row["base_iqr"] == pytest.approx(0.15)
+    # a gap inside the base's quartile distance is no claim, whatever the wins
+    assert not bench_pairs.compare(base, [b - 0.05 for b in base], "lower")["claimable"]
+    # 8 wins of 10 is no claim; "higher" counts the other way
+    assert not bench_pairs.compare(base, [b - 0.5 for b in base[:8]] + [2.0, 2.0], "lower")["claimable"]
+    assert bench_pairs.compare(base, [b + 0.5 for b in base], "higher")["wins"] == 10

@@ -155,6 +155,112 @@ def test_cauchy_kernel_outside_the_real_arithmetic_range(law, power):
     assert np.array_equal(got, [transform(mu, z) for z in zs])
 
 
+def fsum_error(mu, zs, got):
+    """|got - G| relative to sum |m| / |z - x| over mu's terms, with G the
+    terms summed exactly (fsum) in complex arithmetic."""
+    terms = cauchy_terms(mu, zs, 1)
+    want = np.array([complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms])
+    return np.abs(got - want) / np.abs(terms).sum(axis=1)
+
+
+def chebyshev_take(mu, zs):
+    """Which points take the grid sum's Chebyshev expansion."""
+    cauchy(mu, zs)
+    return transforms._chebyshev_far_field(mu.grid.chebyshev_moments, zs)[0]
+
+
+@pytest.mark.parametrize("re", [0.0, 0.5, 0.95, -1.0])
+def test_chebyshev_far_field_on_both_sides_of_its_bound(re):
+    # bisect Im z to the point where the truncation bound starts to hold:
+    # the points just inside and just outside it both match the direct sum
+    mu = semicircle(1.0, n_points=1001)
+    c, r = 0.0, 2.0
+    lo, hi = 1e-3, 10.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if chebyshev_take(mu, np.array([c + r * (re + 1j * mid)]))[0]:
+            hi = mid
+        else:
+            lo = mid
+    zs = c + r * (re + 1j * np.array([hi, lo]))
+    assert list(chebyshev_take(mu, zs)) == [True, False]
+    assert hi - lo <= 1e-14 * hi
+    assert fsum_error(mu, zs, cauchy(mu, zs)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("law", ["grid", "atom_grid_mix"])
+def test_chebyshev_far_field_far_out(law):
+    # |z| from 1e3 to 1e40 in every direction of the upper half-plane: all
+    # far points take the expansion, and q = 1 / (zeta + s) does not cancel
+    mu = semicircle(1.0, n_points=1001) if law == "grid" else atom_grid_mix()
+    radius = np.geomspace(1e3, 1e40, 75)
+    zs = radius * np.exp(1j * np.linspace(1e-3, math.pi - 1e-3, 75))
+    assert chebyshev_take(mu, zs).all()
+    assert fsum_error(mu, zs, cauchy(mu, zs)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("values", [[1.0], [0.3, 0.7], [0.2, 0.5, 0.3]])
+def test_chebyshev_far_field_on_the_smallest_grids(values):
+    # one node has no width (r = 0) and keeps the direct sum; two and three
+    # nodes sit at y = -1, (0,) 1 and take the expansion far out
+    n = len(values)
+    mu = GridMeasure([], DensityGrid(-0.5 * (n - 1), 0.5 * (n - 1), 1.0, values))
+    zs = np.array([0.1 + 1e-3j, 0.2 + 0.5j, 3.0 + 1j, -40.0 + 2j, 1e6 + 1e6j, 1e30j])
+    got = cauchy(mu, zs)
+    assert fsum_error(mu, zs, got).max() <= 1e-13
+    assert np.array_equal(got, [cauchy(mu, z) for z in zs])
+    if n == 1:
+        assert mu.grid.chebyshev_moments is None
+    else:
+        assert chebyshev_take(mu, zs)[-2:].all()
+
+
+@pytest.mark.parametrize("law", ["grid", "atom_grid_mix"])
+def test_chebyshev_far_field_vector_call_is_the_scalar_calls(law):
+    # points near and far, so that both paths run in one call: every vector
+    # call equals its scalar calls bit for bit
+    mu = semicircle(1.0, n_points=1001) if law == "grid" else atom_grid_mix()
+    rng = np.random.default_rng(20261019)
+    for count in [*range(1, 18), 1000]:
+        zs = rng.uniform(-4.0, 4.0, count) + 1j * np.geomspace(1e-3, 1e3, count)
+        got = cauchy(mu, zs)
+        assert np.array_equal(got, [cauchy(mu, z) for z in zs]), count
+        assert fsum_error(mu, zs, got).max() <= 1e-13, count
+    take = chebyshev_take(mu, zs)
+    assert take.any() and not take.all()
+
+
+def test_chebyshev_far_field_serves_most_of_a_subordination_line(monkeypatch):
+    # the subordination points of a density line sit above the nodes, and
+    # most of them skip the direct sum
+    counts = {"points": 0, "expanded": 0}
+    far_field = transforms._chebyshev_far_field
+
+    def counting(moments, z):
+        take, g = far_field(moments, z)
+        counts["points"] += z.size
+        counts["expanded"] += int(take.sum())
+        return take, g
+
+    monkeypatch.setattr(transforms, "_chebyshev_far_field", counting)
+    mu, nu = semicircle(1.0, n_points=1001), semicircle(0.5, n_points=1001)
+    zs = np.linspace(-3.5, 3.5, 301) + 1e-2j
+    transforms._subordination_pair(mu, nu, zs)
+    assert counts["expanded"] >= 0.8 * counts["points"], counts
+
+
+def test_grid_values_are_read_only():
+    # the Chebyshev moments kept on a grid cannot go stale
+    grid = semicircle(1.0, n_points=101).grid
+    with pytest.raises(ValueError):
+        grid.values[0] = 1.0
+    mu = GridMeasure([], grid)
+    cauchy(mu, 5j)
+    moments = grid.chebyshev_moments
+    cauchy(mu, 6j)
+    assert grid.chebyshev_moments is moments
+
+
 # -- voiculescu -----------------------------------------------------------
 
 
