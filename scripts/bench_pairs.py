@@ -5,8 +5,9 @@
 
 Pair i runs `perfbench/run.py --workload NAME --seed FIRST+i --trace 0` once
 in each checkout, the base first on even pairs and the change first on odd
-ones, so that neither side always meets a warmer or a busier machine. Every
-run is a fresh process in its own checkout. For each end-to-end metric of
+ones, so that neither side always meets a warmer or a busier machine, and
+prints both sides' end-to-end metrics. Every run is a fresh process in its
+own checkout. For each end-to-end metric of
 the change's BENCHMARK.json the script prints the median of each side, the
 base's quartile distance (Q3 - Q1), the gap between the medians and the
 number of pairs the change won (strictly better, in the metric's direction).
@@ -74,9 +75,12 @@ def main(argv=None) -> int:
         order = [("base", base), ("change", change)]
         for side, checkout in order if i % 2 == 0 else order[::-1]:
             runs[side].append(run_once(checkout, args.workload, seed, seconds))
-        walls = {side: runs[side][-1]["metrics"]["wall_s"]["value"] for side in runs}
-        print(f"pair {i + 1} seed {seed}: base wall_s {walls['base']:.4f}, "
-              f"change wall_s {walls['change']:.4f}", flush=True)
+        values = ", ".join(
+            f"{m['name']} {runs['base'][-1]['metrics'][m['name']]['value']:.4f}"
+            f"/{runs['change'][-1]['metrics'][m['name']]['value']:.4f}"
+            for m in bench["end_to_end"]
+        )
+        print(f"pair {i + 1} seed {seed} (base/change): {values}", flush=True)
     print(f"{'metric':<14}{'base_median':>13}{'change_median':>15}{'base_iqr':>11}"
           f"{'gap':>11}{'wins':>8}  claimable")
     for metric in bench["end_to_end"]:

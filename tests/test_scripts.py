@@ -110,7 +110,9 @@ def test_bench_pairs_prints_medians_spread_and_wins():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:2]] == ["pair 1 seed 5", "pair 2 seed 6"]
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "pair 1 seed 5 (base/change)", "pair 2 seed 6 (base/change)",
+    ]
     assert lines[2].split() == [
         "metric", "base_median", "change_median", "base_iqr", "gap", "wins", "claimable",
     ]
