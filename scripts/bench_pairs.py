@@ -13,6 +13,11 @@ base's quartile distance (Q3 - Q1), the gap between the medians and the
 number of pairs the change won (strictly better, in the metric's direction).
 A gain is `claimable` when the change won at least 9 of 10 pairs (rounded
 down for other counts) and the gap exceeds the base's quartile distance.
+The no-regression verdict reads the metric's `bound`, a share of the base
+median: `regressed` when the change's median is worse than the base's by
+more than the bound; else `unresolved` when the base's spread,
+(Q3 - Q1) / median, exceeds the bound, unless every change run beats every
+base run; else `held`.
 The last lines give each side's runs that were not correct and its failed
 share of operations. --seconds defaults to the benchmark's `run_seconds`.
 """
@@ -48,19 +53,30 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def compare(base: list, change: list, better: str) -> dict:
-    """Medians, the base's quartile distance, the gap and the change's wins."""
+def compare(base: list, change: list, better: str, bound: float) -> dict:
+    """Medians, the base's quartile distance, the gap, the change's wins and
+    the no-regression verdict against the relative `bound`."""
     sign = 1.0 if better == "lower" else -1.0
     q1, q3 = np.percentile(base, [25, 75])
-    gap = sign * (float(np.median(base)) - float(np.median(change)))
-    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    base_median = float(np.median(base))
+    # losses: lower is better on both sides
+    lb, lc = [sign * v for v in base], [sign * v for v in change]
+    gap = float(np.median(lb) - np.median(lc))
+    wins = sum(b > c for b, c in zip(lb, lc))
+    if -gap > bound * base_median:
+        verdict = "regressed"
+    elif q3 - q1 > bound * base_median and not max(lc) < min(lb):
+        verdict = "unresolved"
+    else:
+        verdict = "held"
     return {
-        "base_median": float(np.median(base)),
+        "base_median": base_median,
         "change_median": float(np.median(change)),
         "base_iqr": float(q3 - q1),
         "gap": gap,
         "wins": int(wins),
         "claimable": wins >= (9 * len(base)) // 10 and gap > q3 - q1,
+        "verdict": verdict,
     }
 
 
@@ -82,14 +98,14 @@ def main(argv=None) -> int:
         )
         print(f"pair {i + 1} seed {seed} (base/change): {values}", flush=True)
     print(f"{'metric':<14}{'base_median':>13}{'change_median':>15}{'base_iqr':>11}"
-          f"{'gap':>11}{'wins':>8}  claimable")
+          f"{'gap':>11}{'wins':>8}  claimable  verdict")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        row = compare(values["base"], values["change"], metric["better"])
+        row = compare(values["base"], values["change"], metric["better"], metric["bound"])
         print(f"{name:<14}{row['base_median']:>13.4f}{row['change_median']:>15.4f}"
               f"{row['base_iqr']:>11.4f}{row['gap']:>11.4f}{row['wins']:>5}/{args.pairs:<2}"
-              f"  {'yes' if row['claimable'] else 'no'}")
+              f"  {'yes' if row['claimable'] else 'no':<9}  {row['verdict']}")
     for side in runs:
         wrong = sum(not r["correct"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])

@@ -205,9 +205,7 @@ class VariationMap:
 
     b and c are supplied by the caller, never differenced numerically: they
     are analytic facts about p, and the b = 0 fast paths must not be
-    corrupted by finite-difference noise. monotone_pieces optionally lists
-    intervals on which p is injective, enabling the mass-preserving density
-    pushforward; without them a midpoint binning fallback is used.
+    corrupted by finite-difference noise.
 
     p is called with a number (an atom, exact ints/Fractions stay exact) and
     with a numpy array of grid nodes, which it must map elementwise; the
@@ -217,7 +215,6 @@ class VariationMap:
     p: callable
     b: float
     c: float
-    monotone_pieces: list | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -229,14 +226,12 @@ class VariationMap:
     def power(cls, k: int) -> "VariationMap":
         if k < 1:
             raise LevyError(f"power maps need k >= 1, got {k}")
-        pieces = None if k % 2 == 1 else [(-math.inf, 0.0), (0.0, math.inf)]
 
         def p(x):
             return x**k
 
         # integer b, c keep exact atom arithmetic exact
-        return cls(p=p, b=1 if k == 1 else 0, c=1 if k == 2 else 0,
-                   monotone_pieces=pieces, name=f"pow:{k}")
+        return cls(p=p, b=1 if k == 1 else 0, c=1 if k == 2 else 0, name=f"pow:{k}")
 
     @classmethod
     def polynomial(cls, coeffs) -> "VariationMap":
@@ -253,8 +248,7 @@ class VariationMap:
 
         b = coeffs[0]
         c = coeffs[1] if len(coeffs) > 1 else 0
-        return cls(p=p, b=b, c=c, monotone_pieces=None,
-                   name="poly:" + ",".join(str(float(cj)) for cj in coeffs))
+        return cls(p=p, b=b, c=c, name="poly:" + ",".join(str(float(cj)) for cj in coeffs))
 
 
 # -- conversions ---------------------------------------------------------------
@@ -323,10 +317,12 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
     """Image measure of rho under p, with images at 0 dropped.
 
     Atom images within 1e-12 of each other merge their masses. The density
-    part pushes mass-preservingly across declared monotone pieces (each
-    source cell's mass spreads over its image interval); without declared
-    pieces, each cell's mass is binned at the image of its midpoint, with
-    the documented single-cell accuracy loss.
+    part has one rule for every map: each source cell's trapezoid mass
+    spreads uniformly over its image enclosure, the interval from the least
+    to the greatest of p at the cell's two ends and its midpoint (so a cell
+    across a fold of p, such as the vertex of an even power, covers its
+    image), onto PUSHFORWARD_CELLS cells spanning the image. A density
+    whose whole image is one point becomes an atom there.
     """
     atom_images = []
     for x, m in rho.atoms:
@@ -344,8 +340,6 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
         cell_mass = h * (vals[:-1] + vals[1:]) / 2.0
         images = np.asarray(vm.p(xs), dtype=float)
         mids = np.asarray(vm.p((xs[:-1] + xs[1:]) / 2.0), dtype=float)
-        # include the midpoint image so cells straddling a fold of p
-        # (e.g. the vertex of an even power) cover their true image range
         los = np.minimum(np.minimum(images[:-1], images[1:]), mids)
         his = np.maximum(np.maximum(images[:-1], images[1:]), mids)
         keep = ~((np.abs(los) <= ORIGIN_TOL) & (np.abs(his) <= ORIGIN_TOL))
@@ -358,8 +352,6 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
                 )
             else:
                 ht = (hi_t - lo_t) / PUSHFORWARD_CELLS
-                if vm.monotone_pieces is None:
-                    los, his = mids, mids
                 node_mass = _deposit(
                     PUSHFORWARD_CELLS, lo_t, ht, los[keep], his[keep], cell_mass[keep]
                 )

@@ -5,15 +5,15 @@ multiplicative convolution.
 Numeric conventions, fixed here and relied on by the tests:
 
 * G and G' are one sum over the measure: exact terms m / (z - x)^p over the
-  atoms, and the trapezoid rule on the grid. The grid sum runs in real
-  arithmetic: with u = Re z - x_j, b = Im z and r = w_j / (u^2 + b^2),
-  G = sum u r - i b sum r; the p = 2 sum of cauchy_derivative is
-  sum (u^2 - b^2) r' - 2i b sum u r' with r' = w_j / (u^2 + b^2)^2. It
-  runs where 1e-50 <= b <= 1e50 and every |u| <= 1e50 (KERNEL_RANGE), so
-  that (u^2 + b^2)^p can neither overflow nor underflow; any other point
-  sums w_j / (z - x_j) (and that over z - x_j again for p = 2) in complex
-  division, which numpy scales. Either way the sum matches the complex
-  sum to 1e-13 relative to sum |w_j| / |z - x_j|^p.
+  atoms, and the trapezoid rule on the grid (which gives a one-node grid no
+  weight). G's grid sum runs in real arithmetic: with u = Re z - x_j,
+  b = Im z and r = w_j / (u^2 + b^2), G = sum u r - i b sum r. It runs
+  where 1e-50 <= b <= 1e50 and every |u| <= 1e50 (KERNEL_RANGE), so that
+  u^2 + b^2 can neither overflow nor underflow; any other point, and every
+  point of G' (p = 2, no library caller), sums w_j / (z - x_j) (and that
+  over z - x_j again for p = 2) in complex division, which numpy scales.
+  Either way the sum matches the complex sum to 1e-13 relative to
+  sum |w_j| / |z - x_j|^p.
 * The (points x nodes) blocks of that sum hold at most KERNEL_CHUNK = 2^16
   elements (512 KiB of float64 per temporary, inside a core's L2), and
   every row is reduced by numpy's own row sum, never a BLAS product, whose
@@ -30,7 +30,7 @@ Numeric conventions, fixed here and relied on by the tests:
   2 (|zeta| + 1) |q|^K / (|s| (1 - |q|)) relative to sum |w_j| / |z - x_j|, and
   a point takes the expansion only where that is <= CHEBYSHEV_TOL = 1e-14,
   which leaves the rest of the 1e-13 to rounding. Points near the nodes, where
-  |q| -> 1, grids of one node, atoms and G' keep the direct sum. The series is
+  |q| -> 1, atoms and G' keep the direct sum. The series is
   summed per point by Horner in q over runs of CHEBYSHEV_RUN = 16 terms, and
   the runs by Horner in q^16; complex products run out of place, since
   numpy's in-place product can round differently by array length.
@@ -171,22 +171,25 @@ def _chebyshev_far_field(moments, z):
 
 
 def _trapz_kernel(grid, pts, power):
-    """sum_j w_j / (z - x_j)^power over the trapezoid weights w_j. For power 1,
-    points whose a-priori bound allows it take the Chebyshev expansion, from
-    moments kept on the grid. The other points are summed in real arithmetic
-    on blocks of at most KERNEL_CHUNK elements, each row reduced by its own
-    row sum; points outside KERNEL_RANGE divide in complex arithmetic
-    instead (see the module docstring)."""
+    """sum_j w_j / (z - x_j)^power over the trapezoid weights w_j, zero on a
+    grid of one node. For power 1, points whose a-priori bound allows it
+    take the Chebyshev expansion, from moments kept on the grid, and the
+    other points inside KERNEL_RANGE are summed in real arithmetic on blocks
+    of at most KERNEL_CHUNK elements, each row reduced by its own row sum;
+    every other point divides in complex arithmetic (see the module
+    docstring)."""
     xs = grid.xs()
+    if len(xs) < 2:
+        return np.zeros(pts.shape, dtype=complex)
     # trapezoid weights: h inside, h/2 at the ends
-    h = xs[1] - xs[0] if len(xs) > 1 else 1.0
+    h = xs[1] - xs[0]
     w = np.full(len(xs), h)
     w[0] = w[-1] = h / 2.0
     weighted = grid.values * w
     flat = pts.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     direct = np.ones(flat.shape, dtype=bool)
-    if power == 1 and xs[-1] > xs[0]:
+    if power == 1:
         if grid.chebyshev_moments is None:
             grid.chebyshev_moments = _chebyshev_moments(weighted, xs)
         take, g = _chebyshev_far_field(grid.chebyshev_moments, flat)
@@ -194,8 +197,8 @@ def _trapz_kernel(grid, pts, power):
         direct = ~take
     lo, hi = KERNEL_RANGE
     far = np.maximum(np.abs(flat.real - xs[0]), np.abs(flat.real - xs[-1]))
-    real = direct & (flat.imag >= lo) & (flat.imag <= hi) & (far <= hi)
-    step = max(1, KERNEL_CHUNK // max(len(xs), 1))
+    real = (power == 1) & direct & (flat.imag >= lo) & (flat.imag <= hi) & (far <= hi)
+    step = max(1, KERNEL_CHUNK // len(xs))
     # the blocks run inline, not in a helper: a block's temporaries are
     # freed only after the next block's exist, so glibc's malloc reuses them
     # instead of returning them to the system and faulting them in anew
@@ -208,17 +211,10 @@ def _trapz_kernel(grid, pts, power):
         u = fast[rows].real[:, None] - xs
         r = u * u
         r += b * b
-        if power == 1:
-            np.divide(weighted, r, out=r)
-            im[rows] = -b[:, 0] * r.sum(axis=1)
-            r *= u
-            re[rows] = r.sum(axis=1)
-        else:
-            r *= r
-            np.divide(weighted, r, out=r)
-            re[rows] = ((u * u - b * b) * r).sum(axis=1)
-            r *= u
-            im[rows] = -2.0 * b[:, 0] * r.sum(axis=1)
+        np.divide(weighted, r, out=r)
+        im[rows] = -b[:, 0] * r.sum(axis=1)
+        r *= u
+        re[rows] = r.sum(axis=1)
     out[real] = re + 1j * im
     slow = np.flatnonzero(direct & ~real)
     for i in range(0, len(slow), step):

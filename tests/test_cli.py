@@ -90,6 +90,19 @@ def test_levy_variation_steep_map(tmp_path, capsys):
     assert json.loads(out)["eta"] == -1.8
 
 
+def test_levy_variation_cube_of_a_grid_fills_the_image(tmp_path, capsys):
+    # x^3 spreads each source cell over its image like every map, so the
+    # written density has no empty node between the ends of its grid
+    xs = [0.5 + 0.01 * i for i in range(201)]
+    grid = {"lo": 0.5, "hi": 2.5, "h": 0.01, "values": [math.exp(-x) for x in xs]}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"eta": 0.0, "a": 0.0, "rho": {"atoms": [], "grid": grid}}))
+    code, out, _ = run(capsys, "levy", "variation", "--input", str(path), "--p", "pow:3")
+    assert code == 0
+    values = json.loads(out)["rho"]["grid"]["values"]
+    assert len(values) == 4097 and min(values[1:-1]) > 0.0
+
+
 def test_levy_to_pair_semicircle(tmp_path, capsys):
     path = write_triple(tmp_path, 0.0, 1.0, [])
     code, out, _ = run(capsys, "levy", "to-pair", "--input", str(path))

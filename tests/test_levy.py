@@ -181,6 +181,25 @@ def test_pushforward_density_mass_exact():
     assert out.grid.mass() == pytest.approx(rho.grid.mass(), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "vm, inverse, slope",
+    [(VariationMap.power(2), np.sqrt, lambda x: 2.0 * x),
+     (VariationMap.power(3), np.cbrt, lambda x: 3.0 * x * x),
+     (VariationMap.polynomial([1, 1]), lambda y: (np.sqrt(1.0 + 4.0 * y) - 1.0) / 2.0,
+      lambda x: 1.0 + 2.0 * x)],
+    ids=["pow:2", "pow:3", "poly"],
+)
+def test_pushforward_density_matches_the_image_density(vm, inverse, slope):
+    # p is increasing on [0.5, 2.5], so the image density at y is
+    # f(x) / p'(x) with x = p^-1(y); every map spreads each source cell over
+    # its image, so no target node between the ends is left empty
+    grid = DensityGrid.from_function(0.5, 2.5, 801, lambda x: np.exp(-x))
+    out = pushforward_levy(LevyMeasure([], grid), vm)
+    x = inverse(out.grid.xs()[1:-1])
+    want = np.exp(-x) / slope(x)
+    assert np.abs(out.grid.values[1:-1] - want).max() <= 2e-3 * want.max()
+
+
 def test_pushforward_square_nonnegative_support():
     grid = DensityGrid.from_function(-2.0, 2.0, 1201, lambda x: np.exp(-x * x))
     rho = LevyMeasure([(-1.5, 0.5), (1.5, 0.5)], grid)

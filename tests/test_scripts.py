@@ -115,29 +115,64 @@ def test_bench_pairs_prints_medians_spread_and_wins():
     ]
     assert lines[2].split() == [
         "metric", "base_median", "change_median", "base_iqr", "gap", "wins", "claimable",
+        "verdict",
     ]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = [line.split() for line in lines[3:-2]]
     assert [r[0] for r in rows] == [m["name"] for m in bench["end_to_end"]]
-    for name, base, change, iqr, gap, wins, claimable in rows:
+    for name, base, change, iqr, gap, wins, claimable, verdict in rows:
         assert float(base) > 0 and float(change) > 0 and float(iqr) >= 0
         assert wins in ("0/2", "1/2", "2/2") and claimable in ("yes", "no")
+        assert verdict in ("held", "unresolved", "regressed")
     assert lines[-2:] == [
         "base: 0 of 2 runs not correct, failed share 0/" + lines[-2].rsplit("/", 1)[1],
         "change: 0 of 2 runs not correct, failed share 0/" + lines[-1].rsplit("/", 1)[1],
     ]
 
 
-def test_bench_pairs_claims_only_a_steady_gain():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    base = [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0]
-    row = bench_pairs.compare(base, [b - 0.5 for b in base], "lower")
+    return bench_pairs
+
+
+# ten runs with median 1.0 and quartile distance 0.15: a spread of 0.15
+STEADY_BASE = [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0]
+
+
+def test_bench_pairs_claims_only_a_steady_gain():
+    bench_pairs = load_bench_pairs()
+    base = STEADY_BASE
+    row = bench_pairs.compare(base, [b - 0.5 for b in base], "lower", 0.25)
     assert row["wins"] == 10 and row["claimable"]
     assert row["gap"] == pytest.approx(0.5) and row["base_iqr"] == pytest.approx(0.15)
     # a gap inside the base's quartile distance is no claim, whatever the wins
-    assert not bench_pairs.compare(base, [b - 0.05 for b in base], "lower")["claimable"]
+    assert not bench_pairs.compare(base, [b - 0.05 for b in base], "lower", 0.25)["claimable"]
     # 8 wins of 10 is no claim; "higher" counts the other way
-    assert not bench_pairs.compare(base, [b - 0.5 for b in base[:8]] + [2.0, 2.0], "lower")["claimable"]
-    assert bench_pairs.compare(base, [b + 0.5 for b in base], "higher")["wins"] == 10
+    assert not bench_pairs.compare(
+        base, [b - 0.5 for b in base[:8]] + [2.0, 2.0], "lower", 0.25
+    )["claimable"]
+    assert bench_pairs.compare(base, [b + 0.5 for b in base], "higher", 0.25)["wins"] == 10
+
+
+@pytest.mark.parametrize(
+    "change, better, bound, verdict",
+    [
+        # worse by 0.2 of the median, inside the bound and the spread 0.15
+        ([b + 0.2 for b in STEADY_BASE], "lower", 0.25, "held"),
+        ([b + 0.3 for b in STEADY_BASE], "lower", 0.25, "regressed"),
+        ([b - 0.3 for b in STEADY_BASE], "higher", 0.25, "regressed"),
+        ([b + 0.3 for b in STEADY_BASE], "higher", 0.25, "held"),
+        # the spread 0.15 exceeds a bound of 0.1: no change reads as unresolved
+        (STEADY_BASE, "lower", 0.1, "unresolved"),
+        ([b - 0.2 for b in STEADY_BASE], "lower", 0.1, "unresolved"),
+        # ... unless every change run beats every base run
+        ([0.7] * 10, "lower", 0.1, "held"),
+        ([1.3] * 10, "higher", 0.1, "held"),
+        # a median worse by more than the bound is a regression, whatever the spread
+        ([b + 0.2 for b in STEADY_BASE], "lower", 0.1, "regressed"),
+    ],
+)
+def test_bench_pairs_verdict_reads_the_bound(change, better, bound, verdict):
+    assert load_bench_pairs().compare(STEADY_BASE, change, better, bound)["verdict"] == verdict

@@ -93,12 +93,13 @@ def test_cauchy_negative_imaginary_part():
 
 def cauchy_terms(mu, zs, power):
     """Every term m / (z - x)^power of mu's Cauchy sum, exact atoms then the
-    trapezoid nodes, in complex arithmetic: one row per point."""
+    trapezoid nodes, in complex arithmetic: one row per point. The trapezoid
+    rule gives the node of a one-node grid no weight."""
     xs = [float(x) for x, _ in mu.atoms]
     ms = [float(m) for _, m in mu.atoms]
     if mu.grid is not None:
         w = np.full(len(mu.grid.values), mu.grid.h)
-        w[0] = w[-1] = mu.grid.h / 2.0
+        w[0] = w[-1] = mu.grid.h / 2.0 if len(w) > 1 else 0.0
         xs = np.concatenate([xs, mu.grid.xs()])
         ms = np.concatenate([ms, mu.grid.values * w])
     return np.asarray(ms) / (zs[:, None] - np.asarray(xs)) ** power
@@ -201,18 +202,24 @@ def test_chebyshev_far_field_far_out(law):
 
 @pytest.mark.parametrize("values", [[1.0], [0.3, 0.7], [0.2, 0.5, 0.3]])
 def test_chebyshev_far_field_on_the_smallest_grids(values):
-    # one node has no width (r = 0) and keeps the direct sum; two and three
-    # nodes sit at y = -1, (0,) 1 and take the expansion far out
+    # one node has no width (r = 0) and, as DensityGrid.mass() says, no
+    # mass: G = G' = 0 with no moments kept (h = 0.25, not 1, so that a
+    # stray weight h / 2 would show); two and three nodes sit at
+    # y = -1, (0,) 1 and take the expansion far out
     n = len(values)
-    mu = GridMeasure([], DensityGrid(-0.5 * (n - 1), 0.5 * (n - 1), 1.0, values))
     zs = np.array([0.1 + 1e-3j, 0.2 + 0.5j, 3.0 + 1j, -40.0 + 2j, 1e6 + 1e6j, 1e30j])
+    if n == 1:
+        mu = GridMeasure([], DensityGrid(0.0, 0.0, 0.25, values))
+        assert mu.grid.mass() == 0.0
+        assert np.array_equal(cauchy(mu, zs), np.zeros(len(zs)))
+        assert np.array_equal(cauchy_derivative(mu, zs), np.zeros(len(zs)))
+        assert mu.grid.chebyshev_moments is None
+        return
+    mu = GridMeasure([], DensityGrid(-0.5 * (n - 1), 0.5 * (n - 1), 1.0, values))
     got = cauchy(mu, zs)
     assert fsum_error(mu, zs, got).max() <= 1e-13
     assert np.array_equal(got, [cauchy(mu, z) for z in zs])
-    if n == 1:
-        assert mu.grid.chebyshev_moments is None
-    else:
-        assert chebyshev_take(mu, zs)[-2:].all()
+    assert chebyshev_take(mu, zs)[-2:].all()
 
 
 @pytest.mark.parametrize("law", ["grid", "atom_grid_mix"])
