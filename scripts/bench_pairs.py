@@ -44,13 +44,16 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """One untraced `perfbench/run.py` run in `checkout`: the result of its
+    last line and its whole stdout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"{checkout}: perfbench/run.py exited {done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout.splitlines()[-1])
+        raise SystemExit(f"{checkout} {workload}: perfbench/run.py exited {done.returncode}: "
+                         f"{done.stderr.strip()}")
+    return json.loads(done.stdout.splitlines()[-1]), done.stdout
 
 
 def compare(base: list, change: list, better: str, bound: float) -> dict:
@@ -90,7 +93,7 @@ def main(argv=None) -> int:
         seed = args.first_seed + i
         order = [("base", base), ("change", change)]
         for side, checkout in order if i % 2 == 0 else order[::-1]:
-            runs[side].append(run_once(checkout, args.workload, seed, seconds))
+            runs[side].append(run_once(checkout, args.workload, seed, seconds)[0])
         values = ", ".join(
             f"{m['name']} {runs['base'][-1]['metrics'][m['name']]['value']:.4f}"
             f"/{runs['change'][-1]['metrics'][m['name']]['value']:.4f}"

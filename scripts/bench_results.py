@@ -5,10 +5,11 @@
 
 For each workload that BENCHMARK.json lists (or the --workloads subset), run
 `perfbench/run.py --seed 1 --trace 0` in the checkout, one workload at a
-time, and keep the last line of its output. The file records the checkout's
-commit, whether its tracked files differ from that commit (and if so the
-sha256 of `git diff HEAD`, which names the measured tree), nproc, the BLAS
-thread count the launcher pinned, and per workload `wall_s`, `setup_s`,
+time, by `bench_pairs.run_once`, and keep the last line of its output. The
+file records the checkout's commit, whether its tracked files differ from
+that commit (and if so the sha256 of `git diff HEAD`, which names the
+measured tree), nproc, the BLAS thread count the launcher pinned (read from
+the same run's output), and per workload `wall_s`, `setup_s`,
 `peak_rss_mib`, `correct`, `attempted` and `failed`. --checkout measures
 another checkout (e.g. a parent commit) with this script. --seconds defaults
 to the benchmark's `run_seconds`.
@@ -24,6 +25,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from bench_pairs import run_once
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
@@ -45,15 +48,10 @@ def git(checkout: Path, *args):
 
 
 def run_workload(checkout: Path, name: str, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
-           "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{name}: perfbench/run.py exited {done.returncode}: {done.stderr.strip()}")
-    result = json.loads(done.stdout.splitlines()[-1])
+    result, stdout = run_once(checkout, name, SEED, seconds)
     entry = {key: result["metrics"][key]["value"] for key in METRICS}
     entry.update(correct=result["correct"], attempted=result["attempted"], failed=result["failed"],
-                 blas_threads=int(re.search(r"blas_threads=(\d+)", done.stdout).group(1)))
+                 blas_threads=int(re.search(r"blas_threads=(\d+)", stdout).group(1)))
     return entry
 
 

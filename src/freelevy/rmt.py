@@ -5,8 +5,9 @@ The matrix model: s is a GUE matrix (semicircular in the large-d limit) and
 e(t) is a diagonal jump process built from per-coordinate marks
 (u_m, v_m) with u_m uniform on (0, 1] and v_m drawn from the jump law;
 e(t) = diag(v_m 1{u_m <= lam t}) and the process is X(t) = s e(t) s.
-Increments over a time grid share the same marks, so their sum telescopes
-to s e(t) s by construction.
+Increments over a time grid share the same marks, and `_fire_steps` puts
+each coordinate with u_m <= lam t in exactly one step (the grid's last
+level is lam t itself), so their sum telescopes to s e(t) s for every u.
 
 Randomness is counter-based (Philox keyed on the master seed, counter set
 from the trial index and an object tag), so any number of threads produces
@@ -171,24 +172,22 @@ def _draw_marks(config: SimConfig, trial: int, family: str = "a"):
     return s, u, v
 
 
-def _thresholds(config: SimConfig, n: int) -> list:
-    """lam * (grid time i), i = 0..n: coordinate j is on at step i when u_j <= it."""
-    return [config.lam * (config.t * i / n) for i in range(n + 1)]
+def _fire_steps(u, config: SimConfig, n: int) -> np.ndarray:
+    """The step i in 1..n whose increment carries coordinate j: the least i
+    with u_j <= lam t (i / n), and n + 1 for a coordinate that never fires.
+    Level n is lam t exactly. This is the one comparison of the marks with
+    the time grid."""
+    levels = [config.lam * config.t * (i / n) for i in range(n + 1)]
+    return np.searchsorted(levels, u, side="left")
 
 
 def _increments(marks, config: SimConfig, n: int):
-    """The n increments of X over an even grid of [0, t], one at a time,
-    from one trial's (s, u, v) marks."""
+    """The n increments X_i = s D_i s of X over an even grid of [0, t], one
+    at a time, from one trial's (s, u, v) marks."""
     s, u, v = marks
-    diagonals = [v * (u <= level) for level in _thresholds(config, n)]
-    for prev, cur in zip(diagonals, diagonals[1:]):
-        yield hermitize((s * (cur - prev)) @ s)
-
-
-def _fire_steps(u, config: SimConfig, n: int) -> np.ndarray:
-    """The step i in 1..n whose increment carries coordinate j (the least i
-    with u_j <= threshold i), n + 1 for a coordinate that never fires."""
-    return np.searchsorted(_thresholds(config, n), u, side="left")
+    steps = _fire_steps(u, config, n)
+    for i in range(1, n + 1):
+        yield hermitize((s * np.where(steps == i, v, 0.0)) @ s)
 
 
 def _fired(marks, config: SimConfig, n: int):
@@ -199,41 +198,31 @@ def _fired(marks, config: SimConfig, n: int):
     return fired, steps[fired], v[fired]
 
 
-def _power_sum_kernel(marks, gram, config: SimConfig, n: int, k: int) -> np.ndarray:
-    """power_sums(_increments(marks, config, n), k) up to rounding, at
-    O(k d^3) instead of O(n k d^3).
+def _step_kernel(word, grams, config: SimConfig, n: int) -> np.ndarray:
+    """The sum over the n steps of x_i^(1) ... x_i^(m), the increments of the
+    families whose marks make up `word`, up to rounding, at O(m d^3)
+    instead of O(n m d^3). `grams` holds G_12, ..., G_(m-1)m, where
+    G_l(l+1) = s_l s_(l+1).
 
-    Increment i is s D_i s with D_i = diag(v on the coordinates of step i),
-    so the sum of X_i^k is s D ((G o S) D)^(k-1) s over the fired
-    coordinates, where G = s s is `gram`, D = sum_i D_i and S[j, l] is 1 when
-    j and l fire in the same step."""
-    s = marks[0]
-    fired, steps, jumps = _fired(marks, config, n)
-    factor = gram[np.ix_(fired, fired)] * (steps[:, None] == steps) * jumps
-    acc = s[:, fired] * jumps
-    for _ in range(k - 1):
-        acc = acc @ factor
-    return hermitize(acc @ s[fired, :])
-
-
-def _mixed_kernel(marks_a, marks_b, cross, config: SimConfig, n: int, mode: str) -> np.ndarray:
-    """The sum over i of x_i y_i (mode "product") or of x_i y_i + y_i x_i
-    (mode "anticommutator") for the n increments of two families, up to
-    rounding: s_a ((s_a s_b) o W) s_b over the fired coordinates, where
-    `cross` is s_a s_b and W[j, l] = v_a[j] v_b[l] when coordinate j of
-    family a and coordinate l of family b fire in the same step."""
-    fired_a, steps_a, jumps_a = _fired(marks_a, config, n)
-    fired_b, steps_b, jumps_b = _fired(marks_b, config, n)
-    weights = np.outer(jumps_a, jumps_b) * (steps_a[:, None] == steps_b)
-    middle = cross[np.ix_(fired_a, fired_b)] * weights
-    acc = marks_a[0][:, fired_a] @ middle @ marks_b[0][fired_b, :]
-    return acc + acc.conj().T if mode == "anticommutator" else acc
+    Increment i of family l is s_l D_(l,i) s_l with D_(l,i) = diag(v_l on
+    the coordinates of step i), so the sum is
+    s_1 D_1 ((G_12 o S_12) D_2) ... ((G_(m-1)m o S_(m-1)m) D_m) s_m over the
+    fired coordinates, where D_l = sum_i D_(l,i) and S_l(l+1)[j, j'] is 1
+    when coordinate j of family l and j' of family l+1 fire in the same
+    step."""
+    fired = [_fired(marks, config, n) for marks in word]
+    index, _, jumps = fired[0]
+    acc = word[0][0][:, index] * jumps
+    for (prev, prev_steps, _), (index, steps, jumps), gram in zip(fired, fired[1:], grams):
+        acc = acc @ (gram[np.ix_(prev, index)] * (prev_steps[:, None] == steps) * jumps)
+    return acc @ word[-1][0][fired[-1][0], :]
 
 
 def _variation_matrix(marks, config: SimConfig, k: int) -> np.ndarray:
-    """s e(t)^k s from one trial's (s, u, v) marks."""
+    """s e(t)^k s from one trial's (s, u, v) marks: e(t) holds the
+    coordinates that fire on the one-step grid."""
     s, u, v = marks
-    return hermitize((s * (v**k * (u <= config.lam * config.t))) @ s)
+    return hermitize((s * (v**k * (_fire_steps(u, config, 1) == 1))) @ s)
 
 
 def sample_cp_increments(config: SimConfig, trial: int, family: str = "a"):
@@ -467,7 +456,7 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
         gram = marks[0] @ marks[0]
         proxies = []
         for n in schedule:
-            acc = _power_sum_kernel(marks, gram, config, n, k)
+            acc = hermitize(_step_kernel([marks] * k, [gram] * (k - 1), config, n))
             proxies.append(
                 float(np.linalg.norm(acc - target)) / math.sqrt(config.d)
             )
@@ -660,7 +649,9 @@ def mixed_decay(
         cross = marks_a[0] @ marks_b[0]
         out = []
         for n in ns:
-            acc = _mixed_kernel(marks_a, marks_b, cross, config, n, mode)
+            acc = _step_kernel([marks_a, marks_b], [cross], config, n)
+            if mode == "anticommutator":
+                acc = acc + acc.conj().T
             out.append(float(np.vdot(acc, acc).real) / config.d)
         return out
 

@@ -17,9 +17,9 @@ from freelevy.rmt import (
     _fire_steps,
     _free_mixed_m2,
     _increments,
-    _mixed_kernel,
     _neighbor_distinct_sum,
-    _power_sum_kernel,
+    _step_kernel,
+    _variation_matrix,
     counterexample_rows,
     esd,
     hermitize,
@@ -246,49 +246,58 @@ def relative_distance(got, expected):
     return np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-300)
 
 
-def increment_masks(u, cfg, n):
-    """The coordinates each of `_increments`' n increments carries: with s = 1
-    an increment is diag(cur - prev) exactly."""
-    marks = (np.eye(len(u)), u, np.ones(len(u)))
-    return [np.diag(x).real != 0 for x in _increments(marks, cfg, n)]
+def fire_step_by_loop(u, cfg, n):
+    """The least i in 1..n with u <= lam t (i / n), n + 1 when there is none."""
+    for i in range(1, n + 1):
+        if u <= cfg.lam * cfg.t * (i / n):
+            return i
+    return n + 1
 
 
 @pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
-def test_fire_steps_are_the_increment_masks(cfg, ns):
+def test_fire_steps_are_the_least_level_at_or_above_u(cfg, ns):
     for n in ns:
-        on_grid = [cfg.lam * (cfg.t * i / n) for i in range(1, n + 1)]
-        above = [np.nextafter(cfg.lam * cfg.t, 2.0), (1.0 + cfg.lam * cfg.t) / 2, 1.0]
-        below = [np.nextafter(level, 0.0) for level in on_grid]
-        hand_built = np.array(on_grid + above + below)
-        for u in (hand_built, _draw_marks(cfg, 0)[1]):
-            u = u[u <= 1.0]
-            steps, masks = _fire_steps(u, cfg, n), increment_masks(u, cfg, n)
-            for i, mask in enumerate(masks, start=1):
-                assert np.array_equal(steps == i, mask), (n, i)
-            assert set(steps) <= set(range(1, n + 2))
-            assert np.array_equal(steps == n + 1, ~np.any(masks, axis=0))
+        levels = [cfg.lam * cfg.t * (i / n) for i in range(1, n + 1)]
+        assert levels[-1] == cfg.lam * cfg.t
+        hand_built = [x for level in levels for x in
+                      (np.nextafter(level, 0.0), level, np.nextafter(level, 2.0))]
+        hand_built += [(1.0 + cfg.lam * cfg.t) / 2, 1.0]
+        for u in (np.array(hand_built), _draw_marks(cfg, 0)[1]):
+            u = u[(0.0 < u) & (u <= 1.0)]
+            expected = [fire_step_by_loop(x, cfg, n) for x in u]
+            assert _fire_steps(u, cfg, n).tolist() == expected, n
+
+
+def test_increments_telescope_at_the_grid_end():
+    # t = 0.1, lam = 1, n = 3: lam * (t * 3 / 3) is 0.10000000000000002, one
+    # ulp above lam t; the last level must be lam t itself
+    cfg = small_config(d=4, trials=1, N=3, t=0.1, lam=1.0)
+    u = np.array([0.1, np.nextafter(0.1, 1.0), 0.05, 0.9])
+    marks = (np.eye(4), u, np.array([1.0, -0.5, 2.0, 3.0]))
+    total = sum(_increments(marks, cfg, 3))
+    assert np.array_equal(total, _variation_matrix(marks, cfg, 1))
+    assert np.array_equal(np.diag(total).real, [1.0, 0.0, 2.0, 0.0])
+
+
+# the campaign words: [a] * k for the k-th power sum, [a, b] for the mixed sums
+KERNEL_WORDS = [
+    pytest.param(["a"] * k, None, id=f"power{k}") for k in (1, 2, 3, 4)
+] + [pytest.param(["a", "b"], mode, id=mode) for mode in ("product", "anticommutator")]
 
 
 @pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_power_sum_kernel_is_the_dense_power_sum(cfg, ns, k):
-    marks = _draw_marks(cfg, 0)
-    gram = marks[0] @ marks[0]
+@pytest.mark.parametrize("families, mode", KERNEL_WORDS)
+def test_step_kernel_is_the_dense_sum(cfg, ns, families, mode):
+    marks = {f: _draw_marks(cfg, 0, f) for f in "ab"}
+    word = [marks[f] for f in families]
+    grams = [x[0] @ y[0] for x, y in zip(word, word[1:])]
     for n in ns:
-        dense = power_sums(_increments(marks, cfg, n), k)
-        assert relative_distance(_power_sum_kernel(marks, gram, cfg, n, k), dense) <= 1e-12
-
-
-@pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
-@pytest.mark.parametrize("mode", ["product", "anticommutator"])
-def test_mixed_kernel_is_the_dense_mixed_sum(cfg, ns, mode):
-    marks_a, marks_b = _draw_marks(cfg, 0, "a"), _draw_marks(cfg, 0, "b")
-    cross = marks_a[0] @ marks_b[0]
-    for n in ns:
-        dense = np.zeros((cfg.d, cfg.d), dtype=complex)
-        for x, y in zip(_increments(marks_a, cfg, n), _increments(marks_b, cfg, n)):
-            dense += x @ y + y @ x if mode == "anticommutator" else x @ y
-        got = _mixed_kernel(marks_a, marks_b, cross, cfg, n, mode)
+        steps = list(zip(*(_increments(m, cfg, n) for m in word)))
+        dense = sum(functools.reduce(np.matmul, xs) for xs in steps)
+        got = _step_kernel(word, grams, cfg, n)
+        if mode == "anticommutator":
+            dense = dense + sum(y @ x for x, y in steps)
+            got = got + got.conj().T
         assert relative_distance(got, dense) <= 1e-12
 
 
@@ -306,8 +315,9 @@ def test_mixed_decay_with_no_spread_gives_null_z_scores(monkeypatch):
 def test_kernels_with_no_fired_coordinate_give_zero():
     cfg = small_config(d=6, trials=1, N=4, lam=1e-9)
     marks = _draw_marks(cfg, 0)
-    assert not np.any(_power_sum_kernel(marks, marks[0] @ marks[0], cfg, 4, 3))
-    assert not np.any(_mixed_kernel(marks, marks, marks[0] @ marks[0], cfg, 4, "product"))
+    assert not np.any(_step_kernel([marks] * 3, [marks[0] @ marks[0]] * 2, cfg, 4))
+    marks_b = _draw_marks(cfg, 0, "b")
+    assert not np.any(_step_kernel([marks, marks_b], [marks[0] @ marks_b[0]], cfg, 4))
 
 
 # -- variation verification --------------------------------------------------------
@@ -519,8 +529,8 @@ def test_mixed_decay_reports_the_free_reference():
     for trial in range(cfg.trials):
         marks_a, marks_b = _draw_marks(cfg, trial, "a"), _draw_marks(cfg, trial, "b")
         cross = marks_a[0] @ marks_b[0]
-        accs = [_mixed_kernel(marks_a, marks_b, cross, cfg, n, "anticommutator")
-                for n in extras["schedule"]]
+        accs = [_step_kernel([marks_a, marks_b], [cross], cfg, n) for n in extras["schedule"]]
+        accs = [acc + acc.conj().T for acc in accs]
         rows.append([np.linalg.norm(acc) ** 2 / cfg.d for acc in accs])
     rows = np.array(rows)
     stderr = rows.std(axis=0, ddof=1) / math.sqrt(cfg.trials)

@@ -176,3 +176,25 @@ def test_bench_pairs_claims_only_a_steady_gain():
 )
 def test_bench_pairs_verdict_reads_the_bound(change, better, bound, verdict):
     assert load_bench_pairs().compare(STEADY_BASE, change, better, bound)["verdict"] == verdict
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_traced_names_resolve(monkeypatch):
+    # `--trace 1` looks every traced name up on its module (a dotted name on
+    # its class), so a deleted or renamed one would fail only there
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.TRACED
+    for span, module_name, attr, _ in tracing.TRACED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert part in vars(owner), (span, module_name, attr)
+            owner = vars(owner)[part]
+        assert callable(owner), span
