@@ -47,6 +47,7 @@ from .rmt import (
     CONFIG_EXTRAS,
     SimConfig,
     SimError,
+    SimNumericError,
     histogram_csv_lines,
     matricial_cauchy,
     mixed_decay,
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
             code = cmd_levy(args, manifest)
         else:
             code = cmd_sim(args, manifest)
-    except ConvergenceError as exc:
+    except (ConvergenceError, SimNumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         manifest.write(EXIT_NUMERIC)
         return EXIT_NUMERIC

@@ -58,6 +58,11 @@ class SimError(ValueError):
     """Configuration violates the model's preconditions."""
 
 
+class SimNumericError(ArithmeticError):
+    """A valid campaign's numbers left the floats; the message names the
+    stage that overflowed or the report field that is not finite."""
+
+
 @dataclass
 class SimConfig:
     d: int
@@ -190,32 +195,55 @@ def _increments(marks, config: SimConfig, n: int):
         yield hermitize((s * np.where(steps == i, v, 0.0)) @ s)
 
 
-def _fired(marks, config: SimConfig, n: int):
-    """(indices, steps, jumps) of the coordinates that fire on the n-step grid."""
-    _, u, v = marks
-    steps = _fire_steps(u, config, n)
-    fired = np.flatnonzero(steps <= n)
-    return fired, steps[fired], v[fired]
+def _fired(config: SimConfig, trial: int, family: str = "a"):
+    """(s_F, (u, v)) for one trial of a family: s_F holds the columns of s at
+    the coordinates F that fire by time t, in increasing u, and (u, v) their
+    marks. Along this order `_fire_steps` is non-decreasing on every grid,
+    so the coordinates of each step are one contiguous block."""
+    s, u, v = _draw_marks(config, trial, family)
+    index = np.flatnonzero(_fire_steps(u, config, 1) == 1)
+    index = index[np.argsort(u[index], kind="stable")]
+    return s[:, index], (u[index], v[index])
 
 
-def _step_kernel(word, grams, config: SimConfig, n: int) -> np.ndarray:
-    """The sum over the n steps of x_i^(1) ... x_i^(m), the increments of the
-    families whose marks make up `word`, up to rounding, at O(m d^3)
-    instead of O(n m d^3). `grams` holds G_12, ..., G_(m-1)m, where
-    G_l(l+1) = s_l s_(l+1).
+def _step_kernel(word, grams, config: SimConfig, n: int) -> list:
+    """The middle factor X_n of the sum over the n steps of x_i^(1) ... x_i^(m),
+    the increments of the families whose fired marks (u, v) make up `word`,
+    as its step blocks (rows, cols, X_i): slices of the fired coordinates of
+    families 1 and m and the block there. `grams` holds G_12, ..., G_(m-1)m,
+    where G_l(l+1) = s_l,F* s_(l+1),F.
 
-    Increment i of family l is s_l D_(l,i) s_l with D_(l,i) = diag(v_l on
-    the coordinates of step i), so the sum is
-    s_1 D_1 ((G_12 o S_12) D_2) ... ((G_(m-1)m o S_(m-1)m) D_m) s_m over the
-    fired coordinates, where D_l = sum_i D_(l,i) and S_l(l+1)[j, j'] is 1
-    when coordinate j of family l and j' of family l+1 fire in the same
-    step."""
-    fired = [_fired(marks, config, n) for marks in word]
-    index, _, jumps = fired[0]
-    acc = word[0][0][:, index] * jumps
-    for (prev, prev_steps, _), (index, steps, jumps), gram in zip(fired, fired[1:], grams):
-        acc = acc @ (gram[np.ix_(prev, index)] * (prev_steps[:, None] == steps) * jumps)
-    return acc @ word[-1][0][fired[-1][0], :]
+    Increment i of family l is s_l D_(l,i) s_l, so the sum is s_1,F X_n s_m,F*
+    (`_sandwich`) with X_n = D_1 (G_12 o S_12) D_2 ... (G_(m-1)m o S_(m-1)m) D_m,
+    where D_l = diag(v_l) and S_l(l+1)[j, j'] is 1 when coordinate j of
+    family l and j' of family l+1 fire in the same step. In fired order
+    X_n is block-diagonal, X_i = D_(1,i) G_12[i, i] D_(2,i) ... D_(m,i), and
+    a step where some family does not fire has no block. The blocks cost
+    O(m^3 / n) together, against the O(d^3) of a dense product."""
+    cuts = [np.searchsorted(_fire_steps(u, config, n), np.arange(n + 1), side="right")
+            for u, _ in word]
+    blocks = []
+    for i in np.flatnonzero(np.all(np.diff(cuts, axis=1) > 0, axis=0)):
+        spans = [slice(c[i], c[i + 1]) for c in cuts]
+        block = np.diag(word[0][1][spans[0]])
+        for gram, prev, span, (_, v) in zip(grams, spans, spans[1:], word[1:]):
+            block = block @ gram[prev, span] * v[span]
+        blocks.append((spans[0], spans[-1], block))
+    return blocks
+
+
+def _sandwich(first, blocks, last) -> np.ndarray:
+    """first X last*, the d x d matrix of the middle factor X given by its
+    step blocks between the fired columns `first` and `last`."""
+    right = np.zeros((first.shape[1], last.shape[0]), dtype=complex)
+    for rows, cols, block in blocks:
+        right[rows] = block @ last[:, cols].conj().T
+    return first @ right
+
+
+def _trace_of_square(a) -> float:
+    """Re tr(a a), with no temporary."""
+    return float(np.einsum("ij,ji->", a, a).real)
 
 
 def _variation_matrix(marks, config: SimConfig, k: int) -> np.ndarray:
@@ -335,7 +363,13 @@ class SimReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2, allow_nan=False)
+        payload = self.to_json()
+        try:
+            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            raise SimNumericError(
+                f"report field {_non_finite_field(payload)} is not finite"
+            ) from None
 
     def summary(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -353,6 +387,19 @@ class SimReport:
             parts.append(f"decay={self.extras['decay_ratio']:.3f}")
         parts.append(f"n={self.config.get('N', '-')}")
         return " ".join(parts)
+
+
+def _non_finite_field(value, path: str = "") -> str | None:
+    """The path of the first non-finite float in a JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(item, sub) for sub, item in items)), None)
 
 
 def _histogram(values) -> dict:
@@ -437,6 +484,11 @@ def _z_score(mean: float, stderr: float, predicted: float):
 def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
     """Moments of sum X_i^k against the exact variation law, plus the
     Frobenius-distance proxy to s e(t)^k s along a doubling schedule.
+    The proxy is taken over the fired coordinates F: with the step kernel's
+    middle factor X_n and Delta_n = herm(X_n) - D^k, block-diagonal,
+    ||s_F Delta_n s_F*||^2 = tr((G_F Delta_n)^2), G_F = s_F* s_F, which
+    matches the dense d x d norm to 1e-12 relative. Only the spectrum at
+    the last point forms the d x d sum s_F herm(X_N) s_F*.
     The z-scores divide by the across-trial standard error, so it needs
     at least 2 trials. The sample moments (1/d) tr(S^m) are the means of
     the m-th powers of the eigenvalues that also make the spectrum
@@ -446,20 +498,27 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     if config.trials < 2:
         raise SimError(f"a standard error needs at least 2 trials, got {config.trials}")
     orders = config.k_max
-    predicted = predicted_variation_moments(config, k, orders)
-    finite_reference = finite_n_power_sum_moments(config, k, orders)
+    try:
+        predicted = predicted_variation_moments(config, k, orders)
+        finite_reference = finite_n_power_sum_moments(config, k, orders)
+    except OverflowError as exc:
+        raise SimNumericError(f"the predicted moments overflow the floats: {exc}") from None
     schedule = _doubling_schedule(config.N)
 
     def one_trial(trial):
-        marks = _draw_marks(config, trial)
-        target = _variation_matrix(marks, config, k)
-        gram = marks[0] @ marks[0]
+        cols, marks = _fired(config, trial)
+        gram = cols.conj().T @ cols
+        product = np.empty_like(gram)  # Delta_n G, every row rewritten at each n
         proxies = []
         for n in schedule:
-            acc = hermitize(_step_kernel([marks] * k, [gram] * (k - 1), config, n))
-            proxies.append(
-                float(np.linalg.norm(acc - target)) / math.sqrt(config.d)
-            )
+            blocks = [(rows, rows, hermitize(block)) for rows, _, block
+                      in _step_kernel([marks] * k, [gram] * (k - 1), config, n)]
+            for rows, _, block in blocks:
+                np.matmul(block - np.diag(marks[1][rows] ** k), gram[rows], out=product[rows])
+            proxies.append(math.sqrt(max(_trace_of_square(product), 0.0) / config.d))
+        del gram, product
+        acc = _sandwich(cols, blocks, cols)
+        del cols
         eigs = esd(acc)
         return [float(np.mean(eigs**m)) for m in range(1, orders + 1)], proxies, eigs
 
@@ -598,6 +657,26 @@ def _free_mixed_m2(m1, m2, n: int, mode: str):
     return 2 * n * ((2 * m1**2 * m2 - m1**4) + m2**2) + 4 * n * (n - 1) * m1**4
 
 
+def _mixed_norm(blocks, gram_a, gram_b, cross, mode: str) -> float:
+    """||A||^2 for A = s_a,F X s_b,F* (mode "product") or ||A + A*||^2 (mode
+    "anticommutator"), from the step blocks of X, G_a = s_a,F* s_a,F,
+    G_b = s_b,F* s_b,F and C = s_a,F* s_b,F:
+    ||A||^2 = <G_a X, X G_b> and ||A + A*||^2 = 2 ||A||^2 + 2 Re tr((X* C)^2)."""
+    left = np.zeros(cross.shape, dtype=complex)
+    right = np.zeros(cross.shape, dtype=complex)
+    for rows, cols, block in blocks:
+        left[:, cols] = gram_a[:, rows] @ block
+        right[rows] = block @ gram_b[cols]
+    norm = float(np.vdot(left, right).real)
+    if mode == "product":
+        return norm
+    del left, right
+    product = np.zeros_like(gram_b)
+    for rows, cols, block in blocks:
+        product[cols] = block.conj().T @ cross[rows]
+    return 2 * norm + 2 * _trace_of_square(product)
+
+
 def mixed_decay(
     config: SimConfig,
     mode: str = "anticommutator",
@@ -611,8 +690,9 @@ def mixed_decay(
     The report also carries the free large-d value of m2 at each point and
     z-scores against it (null with one trial, and null with the reason
     NO_SPREAD when the trials agree and miss it); they do not enter the verdict.
-    m2 = (1/d) tr(S S*) is the squared Frobenius norm of S, which matches the
-    trace of the product to 1e-15 relative.
+    m2 = (1/d) tr(S S*) is the squared Frobenius norm of S, taken over the
+    fired coordinates from the step kernel's middle factor (`_mixed_norm`)
+    with no d x d matrix; it matches the dense norm to 1e-12 relative.
 
     Both families follow the law of `config`; family b draws from the
     config's own "b" streams, independent of family a. mode
@@ -642,28 +722,35 @@ def mixed_decay(
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
     ns = schedule or _doubling_schedule(config.N)[1:] or [config.N]
+    # the free large-d law: one step is free compound Poisson of rate
+    # delta = lam t / n, so m1 = delta mu1 and m2 = delta mu2 + (delta mu1)^2
+    try:
+        mu1, mu2 = (sum(mass * x**p for x, mass in config.jump) for p in (1, 2))
+        predicted = []
+        for n in ns:
+            delta = config.lam * config.t / n
+            predicted.append(
+                _free_mixed_m2(delta * mu1, delta * mu2 + (delta * mu1) ** 2, n, mode)
+            )
+    except OverflowError as exc:
+        raise SimNumericError(f"the predicted m2 overflows the floats: {exc}") from None
 
     def one_trial(trial):
-        marks_a = _draw_marks(config, trial, "a")
-        marks_b = _draw_marks(config, trial, "b")
-        cross = marks_a[0] @ marks_b[0]
-        out = []
-        for n in ns:
-            acc = _step_kernel([marks_a, marks_b], [cross], config, n)
-            if mode == "anticommutator":
-                acc = acc + acc.conj().T
-            out.append(float(np.vdot(acc, acc).real) / config.d)
-        return out
+        cols_a, marks_a = _fired(config, trial, "a")
+        gram_a = cols_a.conj().T @ cols_a
+        cols_b, marks_b = _fired(config, trial, "b")
+        cross = cols_a.conj().T @ cols_b
+        del cols_a
+        gram_b = cols_b.conj().T @ cols_b
+        del cols_b
+        return [
+            _mixed_norm(_step_kernel([marks_a, marks_b], [cross], config, n),
+                        gram_a, gram_b, cross, mode) / config.d
+            for n in ns
+        ]
 
     rows = np.array(_run_trials(one_trial, config.trials, threads))
     means = rows.mean(axis=0)
-    # the free large-d law: one step is free compound Poisson of rate
-    # delta = lam t / n, so m1 = delta mu1 and m2 = delta mu2 + (delta mu1)^2
-    mu1, mu2 = (sum(mass * x**p for x, mass in config.jump) for p in (1, 2))
-    predicted = []
-    for n in ns:
-        delta = config.lam * config.t / n
-        predicted.append(_free_mixed_m2(delta * mu1, delta * mu2 + (delta * mu1) ** 2, n, mode))
     if config.trials < 2:
         zs = [None] * len(ns)
     else:
@@ -693,6 +780,7 @@ __all__ = [
     "CONFIG_EXTRAS",
     "SimConfig",
     "SimError",
+    "SimNumericError",
     "SimReport",
     "counterexample_rows",
     "esd",

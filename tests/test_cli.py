@@ -597,3 +597,25 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "sim", "variation", "--config", str(cfg))
     assert code == 3
     assert "numeric failure" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("atom, named", [
+    (1e60, "the predicted moments overflow"),  # an OverflowError in the exact pipeline
+    (1e40, "report field moments[1].stderr is not finite"),  # inf in the Monte Carlo
+])
+def test_sim_variation_that_overflows_exits_3(tmp_path, capsys, atom, named):
+    cfg = write_config(tmp_path, d=8, N=4, k=2, k_max=3, jump=[[atom, 1.0]])
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "sim", "variation", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 3
+    assert f"numeric failure: {named}" in err and "Traceback" not in err
+    assert not (out_dir / "variation_k2.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sim_mixed_that_overflows_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, d=8, N=4, jump=[[1e200, 1.0]])
+    code, _, err = run(capsys, "sim", "mixed", "--config", str(cfg))
+    assert code == 3
+    assert "numeric failure: the predicted m2 overflows" in err and "Traceback" not in err

@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +17,11 @@ from freelevy.rmt import (
     SimError,
     _draw_marks,
     _fire_steps,
+    _fired,
     _free_mixed_m2,
     _increments,
     _neighbor_distinct_sum,
+    _sandwich,
     _step_kernel,
     _variation_matrix,
     counterexample_rows,
@@ -285,20 +289,44 @@ KERNEL_WORDS = [
 ] + [pytest.param(["a", "b"], mode, id=mode) for mode in ("product", "anticommutator")]
 
 
+def dense_word_sum(cfg, families, n, mode=None):
+    """The sum over the n steps of the word's increment products, built one
+    dense increment at a time; y x is added for the anticommutator."""
+    steps = list(zip(*(_increments(_draw_marks(cfg, 0, f), cfg, n) for f in families)))
+    dense = sum(functools.reduce(np.matmul, xs) for xs in steps)
+    if mode == "anticommutator":
+        dense = dense + sum(y @ x for x, y in steps)
+    return dense
+
+
+def kernel_sum(cfg, families, n):
+    """The step kernel's middle factor between the fired columns of the
+    word's first and last family."""
+    fired = {f: _fired(cfg, 0, f) for f in set(families)}
+    word = [fired[f][1] for f in families]
+    grams = [fired[f][0].conj().T @ fired[g][0] for f, g in zip(families, families[1:])]
+    blocks = _step_kernel(word, grams, cfg, n)
+    return _sandwich(fired[families[0]][0], blocks, fired[families[-1]][0])
+
+
 @pytest.mark.parametrize("cfg, ns", KERNEL_CASES)
 @pytest.mark.parametrize("families, mode", KERNEL_WORDS)
 def test_step_kernel_is_the_dense_sum(cfg, ns, families, mode):
-    marks = {f: _draw_marks(cfg, 0, f) for f in "ab"}
-    word = [marks[f] for f in families]
-    grams = [x[0] @ y[0] for x, y in zip(word, word[1:])]
     for n in ns:
-        steps = list(zip(*(_increments(m, cfg, n) for m in word)))
-        dense = sum(functools.reduce(np.matmul, xs) for xs in steps)
-        got = _step_kernel(word, grams, cfg, n)
+        got = kernel_sum(cfg, families, n)
         if mode == "anticommutator":
-            dense = dense + sum(y @ x for x, y in steps)
             got = got + got.conj().T
-        assert relative_distance(got, dense) <= 1e-12
+        assert relative_distance(got, dense_word_sum(cfg, families, n, mode)) <= 1e-12
+
+
+def test_fired_columns_are_in_increasing_u():
+    cfg = small_config(d=30, trials=1, t=0.6, lam=0.5)
+    s, u, v = _draw_marks(cfg, 0)
+    cols, (u_fired, v_fired) = _fired(cfg, 0)
+    assert np.all(np.diff(u_fired) >= 0) and np.all(u_fired <= cfg.lam * cfg.t)
+    assert len(u_fired) == np.sum(u <= cfg.lam * cfg.t)
+    index = [int(np.flatnonzero(u == x)[0]) for x in u_fired]
+    assert np.array_equal(cols, s[:, index]) and np.array_equal(v_fired, v[index])
 
 
 def test_mixed_decay_with_no_spread_gives_null_z_scores(monkeypatch):
@@ -314,10 +342,9 @@ def test_mixed_decay_with_no_spread_gives_null_z_scores(monkeypatch):
 
 def test_kernels_with_no_fired_coordinate_give_zero():
     cfg = small_config(d=6, trials=1, N=4, lam=1e-9)
-    marks = _draw_marks(cfg, 0)
-    assert not np.any(_step_kernel([marks] * 3, [marks[0] @ marks[0]] * 2, cfg, 4))
-    marks_b = _draw_marks(cfg, 0, "b")
-    assert not np.any(_step_kernel([marks, marks_b], [marks[0] @ marks_b[0]], cfg, 4))
+    for families in (["a"] * 3, ["a", "b"]):
+        assert _step_kernel([_fired(cfg, 0, f)[1] for f in families], [], cfg, 4) == []
+        assert not np.any(kernel_sum(cfg, families, 4))
 
 
 # -- variation verification --------------------------------------------------------
@@ -525,17 +552,107 @@ def test_mixed_decay_reports_the_free_reference():
     assert extras["predicted_m2_by_n"] == pytest.approx(
         [2 * (0.8 * 2.25) ** 2 / n for n in extras["schedule"]], rel=1e-12
     )
-    rows = []
-    for trial in range(cfg.trials):
-        marks_a, marks_b = _draw_marks(cfg, trial, "a"), _draw_marks(cfg, trial, "b")
-        cross = marks_a[0] @ marks_b[0]
-        accs = [_step_kernel([marks_a, marks_b], [cross], cfg, n) for n in extras["schedule"]]
-        accs = [acc + acc.conj().T for acc in accs]
-        rows.append([np.linalg.norm(acc) ** 2 / cfg.d for acc in accs])
-    rows = np.array(rows)
+    rows = np.array([dense_mixed_m2(cfg, trial, extras["schedule"], "anticommutator")
+                     for trial in range(cfg.trials)])
     stderr = rows.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     z = (rows.mean(axis=0) - np.array(extras["predicted_m2_by_n"])) / stderr
     assert extras["z_by_n"] == pytest.approx(list(z), rel=1e-9)
+
+
+# -- the campaigns' norms against dense increments ------------------------------
+
+
+def dense_proxies(cfg, k, schedule):
+    """verify_variation's proxy_norms from dense increments: the mean over the
+    trials of ||sum_i X_i^k - s e(t)^k s|| / sqrt(d)."""
+    rows = []
+    for trial in range(cfg.trials):
+        marks = rmt._draw_marks(cfg, trial)
+        target = _variation_matrix(marks, cfg, k)
+        rows.append([np.linalg.norm(power_sums(_increments(marks, cfg, n), k) - target)
+                     for n in schedule])
+    return np.mean(rows, axis=0) / math.sqrt(cfg.d)
+
+
+def dense_mixed_m2(cfg, trial, schedule, mode):
+    """One trial's mixed_decay m2 values from dense increments, ||S||^2 / d."""
+    out = []
+    for n in schedule:
+        pairs = zip(*(_increments(rmt._draw_marks(cfg, trial, f), cfg, n) for f in "ab"))
+        acc = sum(x @ y + y @ x if mode == "anticommutator" else x @ y for x, y in pairs)
+        out.append(float(np.vdot(acc, acc).real) / cfg.d)
+    return out
+
+
+def assert_close_in_list(got, expected, rel=1e-12):
+    expected = np.asarray(expected)
+    assert np.max(np.abs(np.asarray(got) - expected)) <= rel * np.max(np.abs(expected))
+
+
+# u marks of d = 12 coordinates at lam t = 0.5, per family: none fires; exactly
+# one fires; steps where only one family fires; equal u values, some on a level
+HAND_U = {
+    "none": {"a": [0.5 + 0.04 * i for i in range(1, 13)],
+             "b": [0.98 - 0.04 * i for i in range(12)]},
+    "one": {"a": [0.2] + [0.9] * 11, "b": [0.9] * 11 + [0.3]},
+    "one-family-steps": {"a": [0.01 * i for i in range(1, 12)] + [0.45],
+                         "b": [0.3 + 0.015 * i for i in range(1, 12)] + [0.05]},
+    "ties": {"a": [0.25] * 4 + [0.5] * 3 + [0.1] * 3 + [0.7] * 2,
+             "b": [0.5] * 5 + [0.25] * 2 + [0.375] * 3 + [0.9] * 2},
+}
+
+
+@pytest.mark.parametrize("hand_u", [None] + list(HAND_U.values()), ids=["drawn"] + list(HAND_U))
+def test_campaign_norms_are_the_dense_norms(monkeypatch, hand_u):
+    # the block norms against the dense d x d norms of the increments, on a
+    # mixed schedule that is neither doubling nor nested
+    jump = [[-0.7, 0.4], [1.3, 0.6]]
+    if hand_u is None:
+        cfg = small_config(d=30, trials=2, N=12, t=0.7, lam=0.9, jump=jump)
+    else:
+        cfg = small_config(d=12, trials=2, N=12, t=0.5, lam=1.0, jump=jump)
+        draw = rmt._draw_marks
+
+        def hand_marks(config, trial, family="a"):
+            s, _, v = draw(config, trial, family)
+            return s, np.array(hand_u[family]), v
+
+        monkeypatch.setattr(rmt, "_draw_marks", hand_marks)
+    for k in (2, 3):
+        extras = verify_variation(cfg, k).extras
+        assert_close_in_list(extras["proxy_norms"], dense_proxies(cfg, k, extras["schedule"]))
+    schedule = [3, 5, 7, 12]
+    for mode in ("product", "anticommutator"):
+        dense = np.mean([dense_mixed_m2(cfg, trial, schedule, mode)
+                         for trial in range(cfg.trials)], axis=0)
+        assert_close_in_list(mixed_decay(cfg, mode, schedule=schedule).extras["m2_by_n"], dense)
+
+
+MEMORY_GUARD_MIB = 4.5
+
+
+@pytest.mark.parametrize("campaign", [
+    pytest.param(lambda cfg: verify_variation(cfg, 2), id="variation_k2"),
+    pytest.param(lambda cfg: verify_variation(dataclasses.replace(cfg, k_max=3), 3),
+                 id="variation_k3"),
+    pytest.param(lambda cfg: mixed_decay(dataclasses.replace(cfg, jump=[[-1.0, 0.5], [1.0, 0.5]]),
+                                         "anticommutator", schedule=[8, 16, 32, 64]),
+                 id="mixed_anticommutator"),
+])
+def test_campaign_peak_memory_stays_under_the_guard(campaign):
+    # the traced peak of one campaign at the benchmark's size; a campaign that
+    # holds d x d matrices per schedule point read 4.42 MiB, the block path
+    # about 2.2 (variation) and 3.3 (mixed). The untraced first run builds the
+    # library's caches, which are not the campaign's.
+    cfg = small_config(d=200, trials=2, N=64, master_seed=7)
+    campaign(cfg)
+    tracemalloc.start()
+    try:
+        campaign(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_GUARD_MIB * 2**20
 
 
 @pytest.mark.parametrize("mode", ["anticommutator", "square-of-sum"])
