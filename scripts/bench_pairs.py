@@ -9,7 +9,9 @@ ones, so that neither side always meets a warmer or a busier machine, and
 prints both sides' end-to-end metrics. Every run is a fresh process in its
 own checkout. For each end-to-end metric of
 the change's BENCHMARK.json the script prints the median of each side, the
-base's quartile distance (Q3 - Q1), the gap between the medians and the
+base's quartile distance (Q3 - Q1), the gap between the medians (positive
+when the change is better), that gap as a share of the base median next to
+the metric's `bound`, so that a claim can be sized against the bound, and the
 number of pairs the change won (strictly better, in the metric's direction).
 A gain is `claimable` when the change won at least 9 of 10 pairs (rounded
 down for other counts) and the gap exceeds the base's quartile distance.
@@ -57,8 +59,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
 
 
 def compare(base: list, change: list, better: str, bound: float) -> dict:
-    """Medians, the base's quartile distance, the gap, the change's wins and
-    the no-regression verdict against the relative `bound`."""
+    """Medians, the base's quartile distance, the gap, the gap as a share of
+    the base median, the change's wins and the no-regression verdict against
+    the relative `bound`."""
     sign = 1.0 if better == "lower" else -1.0
     q1, q3 = np.percentile(base, [25, 75])
     base_median = float(np.median(base))
@@ -77,6 +80,7 @@ def compare(base: list, change: list, better: str, bound: float) -> dict:
         "change_median": float(np.median(change)),
         "base_iqr": float(q3 - q1),
         "gap": gap,
+        "rel_gap": gap / base_median,
         "wins": int(wins),
         "claimable": wins >= (9 * len(base)) // 10 and gap > q3 - q1,
         "verdict": verdict,
@@ -101,13 +105,14 @@ def main(argv=None) -> int:
         )
         print(f"pair {i + 1} seed {seed} (base/change): {values}", flush=True)
     print(f"{'metric':<14}{'base_median':>13}{'change_median':>15}{'base_iqr':>11}"
-          f"{'gap':>11}{'wins':>8}  claimable  verdict")
+          f"{'gap':>11}{'rel_gap':>9}{'bound':>7}{'wins':>8}  claimable  verdict")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         row = compare(values["base"], values["change"], metric["better"], metric["bound"])
         print(f"{name:<14}{row['base_median']:>13.4f}{row['change_median']:>15.4f}"
-              f"{row['base_iqr']:>11.4f}{row['gap']:>11.4f}{row['wins']:>5}/{args.pairs:<2}"
+              f"{row['base_iqr']:>11.4f}{row['gap']:>11.4f}{row['rel_gap']:>+9.3f}"
+              f"{metric['bound']:>7.2f}{row['wins']:>5}/{args.pairs:<2}"
               f"  {'yes' if row['claimable'] else 'no':<9}  {row['verdict']}")
     for side in runs:
         wrong = sum(not r["correct"] for r in runs[side])

@@ -32,7 +32,7 @@ from .levy import (
     pair_to_triple,
     variation_triple,
 )
-from .measures import MeasureError, _is_real
+from .measures import MeasureError, NumericError, _is_real
 from .ncsym import (
     NCSymError,
     composition_of,
@@ -47,7 +47,6 @@ from .rmt import (
     CONFIG_EXTRAS,
     SimConfig,
     SimError,
-    SimNumericError,
     histogram_csv_lines,
     matricial_cauchy,
     mixed_decay,
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
             code = cmd_levy(args, manifest)
         else:
             code = cmd_sim(args, manifest)
-    except (ConvergenceError, SimNumericError) as exc:
+    except (ConvergenceError, NumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         manifest.write(EXIT_NUMERIC)
         return EXIT_NUMERIC

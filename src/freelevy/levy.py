@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import DensityGrid, GridMeasure, _is_integer, _is_real
+from .measures import DensityGrid, GridMeasure, NumericError, _is_integer, _is_real
 
 ORIGIN_TOL = 1e-12
 INTEGRABILITY_GUARD = 1e12
@@ -275,10 +275,13 @@ def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
     """kappa_1 = eta + int_{|x|>1} x, kappa_2 = a + int x^2, kappa_m = int x^m."""
     if n < 1:
         raise LevyError(f"cumulant order n must be >= 1, got {n}")
-    out = [t.eta + t.rho.integrate(_tail_x)]
-    if n > 1:
-        moments = t.rho.moments(n)
-        out += [t.a + moments[1], *moments[2:]]
+    try:
+        out = [t.eta + t.rho.integrate(_tail_x)]
+        if n > 1:
+            moments = t.rho.moments(n)
+            out += [t.a + moments[1], *moments[2:]]
+    except OverflowError as exc:
+        raise NumericError(f"the cumulants of the triple overflow the floats: {exc}") from None
     return out
 
 
@@ -401,11 +404,14 @@ def variation_triple(t: GeneratingTriple, vm: VariationMap) -> GeneratingTriple:
         size = abs(px)
         return _where((0 < size) & (size <= 1), px, 0) - b * _truncated_x(x)
 
-    integral = t.rho.integrate(compensator)
-    if not np.isfinite(float(integral)):
-        raise LevyError("compensator integral diverged")
-    eta_p = b * t.eta + t.a * c + integral
-    return GeneratingTriple(eta_p, t.a * b * b, pushforward_levy(t.rho, vm))
+    try:
+        integral = t.rho.integrate(compensator)
+        if not np.isfinite(float(integral)):
+            raise LevyError("compensator integral diverged")
+        eta_p = b * t.eta + t.a * c + integral
+        return GeneratingTriple(eta_p, t.a * b * b, pushforward_levy(t.rho, vm))
+    except OverflowError as exc:
+        raise NumericError(f"the variation triple overflows the floats: {exc}") from None
 
 
 # -- limit-condition checker -------------------------------------------------------

@@ -34,6 +34,11 @@ class MeasureError(ValueError):
     """Malformed measure data (negative mass, inconsistent grid)."""
 
 
+class NumericError(ArithmeticError):
+    """Valid input whose numbers left the floats; the message names the stage
+    that overflowed or the output field that is not finite."""
+
+
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools and all else."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -284,6 +289,7 @@ __all__ = [
     "DensityGrid",
     "GridMeasure",
     "MeasureError",
+    "NumericError",
     "arcsine_density",
     "bernoulli_symmetric",
     "point_mass",

@@ -20,13 +20,21 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
 from .levy import VariationMap, compound_poisson_triple, triple_to_cumulants, variation_triple
-from .measures import GridMeasure, _is_integer, _is_real, _is_real_pairs
+from .measures import (
+    GridMeasure,
+    NumericError,
+    _exact_atom_moments,
+    _is_integer,
+    _is_real,
+    _is_real_pairs,
+)
 from .ncsym import stochastic_integral_poly
 
 HERMITIAN_TOL = 1e-12
@@ -56,11 +64,6 @@ _ALL_EXTRAS = set().union(*CONFIG_EXTRAS.values())
 
 class SimError(ValueError):
     """Configuration violates the model's preconditions."""
-
-
-class SimNumericError(ArithmeticError):
-    """A valid campaign's numbers left the floats; the message names the
-    stage that overflowed or the report field that is not finite."""
 
 
 @dataclass
@@ -367,7 +370,7 @@ class SimReport:
         try:
             return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except ValueError:
-            raise SimNumericError(
+            raise NumericError(
                 f"report field {_non_finite_field(payload)} is not finite"
             ) from None
 
@@ -449,19 +452,13 @@ def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
     order O(1/N), e.g. its first moment is lam t + (lam t int x d jump)^2 / N
     plus higher corrections. Reports carry it as a reference so the
     systematic truncation gap is visible next to the Monte Carlo error.
+    lam, t, the atoms and the masses enter as the exact values of their
+    floats, so each output is its exact moment rounded once.
     """
-    from fractions import Fraction
-
-    def rational(x):
-        return Fraction(x).limit_denominator(10**12)
-
-    delta = rational(config.lam) * rational(config.t) / config.N
-
-    def jump_moment(m):
-        return sum(rational(mass) * rational(x) ** m for x, mass in config.jump)
-
+    delta = Fraction(config.lam) * Fraction(config.t) / config.N
+    jump = [(Fraction(x), Fraction(mass)) for x, mass in config.jump]
     inc_moments = cumulants_to_moments(
-        [delta * jump_moment(m) for m in range(1, orders * k + 1)]
+        [delta * m for m in _exact_atom_moments(jump, orders * k)]
     )
     nu_moments = [inc_moments[j * k - 1] for j in range(1, orders + 1)]
     nu_kappas = moments_to_cumulants(nu_moments)
@@ -501,8 +498,8 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     try:
         predicted = predicted_variation_moments(config, k, orders)
         finite_reference = finite_n_power_sum_moments(config, k, orders)
-    except OverflowError as exc:
-        raise SimNumericError(f"the predicted moments overflow the floats: {exc}") from None
+    except (OverflowError, NumericError) as exc:
+        raise NumericError(f"the predicted moments overflow the floats: {exc}") from None
     schedule = _doubling_schedule(config.N)
 
     def one_trial(trial):
@@ -732,8 +729,8 @@ def mixed_decay(
             predicted.append(
                 _free_mixed_m2(delta * mu1, delta * mu2 + (delta * mu1) ** 2, n, mode)
             )
-    except OverflowError as exc:
-        raise SimNumericError(f"the predicted m2 overflows the floats: {exc}") from None
+    except (OverflowError, NumericError) as exc:
+        raise NumericError(f"the predicted m2 overflows the floats: {exc}") from None
 
     def one_trial(trial):
         cols_a, marks_a = _fired(config, trial, "a")
@@ -780,7 +777,6 @@ __all__ = [
     "CONFIG_EXTRAS",
     "SimConfig",
     "SimError",
-    "SimNumericError",
     "SimReport",
     "counterexample_rows",
     "esd",

@@ -30,20 +30,29 @@ Numeric conventions, fixed here and relied on by the tests:
   2 (|zeta| + 1) |q|^K / (|s| (1 - |q|)) relative to sum |w_j| / |z - x_j|, and
   a point takes the expansion only where that is <= CHEBYSHEV_TOL = 1e-14,
   which leaves the rest of the 1e-13 to rounding. Points near the nodes, where
-  |q| -> 1, atoms and G' keep the direct sum. The series is
-  summed per point by Horner in q over runs of CHEBYSHEV_RUN = 16 terms, and
-  the runs by Horner in q^16; complex products run out of place, since
-  numpy's in-place product can round differently by array length.
+  |q| -> 1, atoms and G' keep the direct sum. The series is summed by
+  Paterson & Stockmeyer's scheme (SIAM J. Comput. 1973): per block of
+  points, the powers q^0 .. q^15 (15 complex products), every run of
+  CHEBYSHEV_RUN = 16 real coefficients contracted against them in real
+  arithmetic by a plain einsum, and the runs by Horner in q^16. The
+  contraction is never a BLAS product, whose rounding can depend on the
+  column count, and complex products run out of place, since numpy's
+  in-place product can round differently by array length; a block's powers
+  hold KERNEL_CHUNK floats.
 * Stieltjes inversion evaluates G on the lines Im z in {1e-2, 5e-3, 2.5e-3}
   and Richardson-extrapolates to the real axis (the three-point rule kills
   the O(eps) and O(eps^2) terms); densities are clipped at zero and
   renormalized to the exact output mass, since the trapezoid rule alone
   loses O(h^(3/2)) mass at square-root edges. The subordination lines are
-  solved down that ladder, each line starting from the previous line's
-  omega shifted by i (eps - eps_prev), which stays above the new line
-  since Im omega >= Im z for probability measures (a point whose start
-  would not, as for some powers of heavier measures, starts from z); the
-  densities match a cold start from w = z to 1e-7 of their maximum.
+  solved down that ladder. The first line starts at z + i (span of the
+  output points) / 8: the subordination map converges from any start in the
+  upper half-plane (Belinschi & Bercovici, 2007), and from that height the
+  first sweeps take G's far field instead of the direct sum. Each later
+  line starts from the previous line's omega shifted by i (eps - eps_prev),
+  which stays above the new line since Im omega >= Im z for probability
+  measures (a point whose start would not, as for some powers of heavier
+  measures, starts from z); the densities match a cold start from w = z to
+  1e-7 of their maximum.
 * One fixed-point solver, vectorised over points, serves every iteration:
   Steffensen acceleration with a half-step fallback when the extrapolated
   iterate misbehaves (the plain map stalls where its contraction factor
@@ -82,7 +91,7 @@ FIXED_POINT_MAX_ITER = 500
 KERNEL_CHUNK = 1 << 16  # elements of one (points x nodes) block of the grid sum
 KERNEL_RANGE = (1e-50, 1e50)  # Im z and |Re z - x_j| whose squares stay well inside float range
 CHEBYSHEV_TERMS = 192  # K, the terms of the grid sum's far-field expansion
-CHEBYSHEV_RUN = 16  # terms per run of its Horner sum in q
+CHEBYSHEV_RUN = 16  # terms per run, summed against the powers q^0 .. q^15
 CHEBYSHEV_TOL = 1e-14  # its truncation bound, relative to sum |w_j| / |z - x_j|
 
 
@@ -154,16 +163,21 @@ def _chebyshev_far_field(moments, z):
     take = (aq < 1.0) & (bound <= CHEBYSHEV_TOL)  # |q| rounds to 1 near the nodes
     q, s = q[take], s[take]
     series = np.empty(q.shape, dtype=complex)
-    step = KERNEL_CHUNK // (2 * len(runs))
+    width = runs.shape[1]
+    step = KERNEL_CHUNK // (2 * width)
     for i in range(0, len(q), step):
         qb = q[i : i + step]
-        # every run at once by Horner in q (the products out of place)
-        acc = np.repeat(runs[:, -1:].astype(complex), len(qb), axis=1)
-        for col in runs.T[-2::-1]:
-            acc = acc * qb
-            acc.real += col[:, None]
+        # the powers q^0 .. q^(width - 1), each one product out of place
+        powers = np.empty((width, len(qb)), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = qb
+        for j in range(2, width):
+            np.multiply(powers[j - 1], qb, out=powers[j])
+        # every run against them in real arithmetic: a plain einsum sums each
+        # column in one order whatever the column count, where BLAS need not
+        acc = np.einsum("rj,jp->rp", runs, powers.view(float)).view(complex)
         # then the runs by Horner in q^CHEBYSHEV_RUN
-        qrun, part = qb**CHEBYSHEV_RUN, acc[-1]
+        qrun, part = powers[-1] * qb, acc[-1]
         for row in acc[-2::-1]:
             part = part * qrun + row
         series[i : i + step] = part
@@ -324,8 +338,13 @@ def _stieltjes_inversion(mu, xs, subordinate=None):
     """Density at the real points xs from G(z) = G_mu(omega(z)) on the lines
     z = x + i eps, with omega = subordinate(z, start) or, without one, z.
 
-    The lines are solved down the ladder INVERSION_EPSILONS; each line after
-    the first starts from the previous line's omega shifted by
+    The lines are solved down the ladder INVERSION_EPSILONS. The first line
+    starts every point at z + i (xs[-1] - xs[0]) / 8: the subordination map
+    converges from any start in the upper half-plane (Belinschi & Bercovici,
+    2007), and a start that far above the nodes, a fixed share of their span
+    so that the rule is scale-covariant, lets the first sweeps take G's far
+    field where a start at z, eps above the axis, needs the direct sum.
+    Each later line starts from the previous line's omega shifted by
     i (eps - eps_prev), which stays above the new line since Im omega >= Im z
     for probability measures (a point whose start would not starts from z).
     -Im G / pi is Richardson-extrapolated to eps -> 0 and clipped at zero.
@@ -336,8 +355,9 @@ def _stieltjes_inversion(mu, xs, subordinate=None):
         if subordinate is None:
             omega = zs
         else:
-            start = None
-            if omega is not None:
+            if omega is None:
+                start = zs + 1j * (xs[-1] - xs[0]) / 8.0
+            else:
                 start = omega + 1j * (eps - prev)
                 start = np.where(start.imag >= eps, start, zs)
             omega = subordinate(zs, start)

@@ -186,6 +186,33 @@ def test_levy_input_not_json_exit_2(tmp_path, capsys):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("action, flags, named", [
+    ("cumulants", ["--n", "6"], "the cumulants of the triple overflow"),  # x^4 in the moments
+    ("variation", ["--p", "pow:4"], "the variation triple overflows"),  # p(x) in the compensator
+])
+def test_levy_that_overflows_exits_3(tmp_path, capsys, action, flags, named):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"eta": 0, "a": 0, "rho": {"atoms": [[1e100, 1]]}}))
+    target = tmp_path / "out.json"
+    code, _, err = run(capsys, "levy", action, "--input", str(path), *flags, "--out", str(target))
+    assert code == 3
+    assert f"numeric failure: {named}" in err and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_a_bare_overflow_error_is_still_internal(tmp_path, capsys, monkeypatch):
+    import freelevy.cli as cli
+
+    def boom(*args, **kwargs):
+        raise OverflowError("not raised by a numeric stage")
+
+    monkeypatch.setattr(cli, "triple_to_cumulants", boom)
+    path = write_triple(tmp_path, 1.0, 0.0, [[1.0, 1.0]])
+    code, _, err = run(capsys, "levy", "cumulants", "--input", str(path))
+    assert code == 4
+    assert "Traceback" in err
+
+
 # -- sim --------------------------------------------------------------------------
 
 

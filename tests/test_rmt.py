@@ -404,6 +404,30 @@ def test_verify_variation_reports_finite_n_reference_above_order_12():
     assert reference[0] == pytest.approx(cfg.N * (delta + 3 * delta**2 + delta**3), rel=1e-12)
 
 
+def test_finite_n_reference_keeps_a_tiny_rate():
+    # lam = 3e-13 once rounded to 0 at a denominator bound of 10^12; the first
+    # moment of sum X_i^2 for unit jumps is N (delta + delta^2) = lam + lam^2 / N
+    cfg = small_config(d=4, N=8, lam=3e-13)
+    got = rmt.finite_n_power_sum_moments(cfg, 2, 3)
+    lam = Fraction(3e-13)
+    assert got[0] == float(lam + lam * lam / 8)
+    assert got == pytest.approx([3e-13] * 3, rel=1e-11)
+    assert predicted_variation_moments(cfg, 2, 3) == pytest.approx([3e-13] * 3, rel=1e-11)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_finite_n_reference_scales_with_the_jumps(k):
+    # c = 2^j scales every float exactly, so moment n of c nu is c^(kn) times
+    # that of nu, as floats too
+    jump = [[1.5, 0.25], [-3.0, 0.75]]
+    base = rmt.finite_n_power_sum_moments(small_config(N=4, lam=0.75, jump=jump), k, 3)
+    for j in range(-40, 41):
+        c = math.ldexp(1.0, j)
+        scaled = small_config(N=4, lam=0.75, jump=[[c * x, m] for x, m in jump])
+        got = rmt.finite_n_power_sum_moments(scaled, k, 3)
+        assert got == [math.ldexp(m, j * k * n) for n, m in enumerate(base, 1)], j
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_verify_variation_means_are_the_public_model(k):
     cfg = small_config(d=30, trials=2, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,14 +115,16 @@ def test_bench_pairs_prints_medians_spread_and_wins():
         "pair 1 seed 5 (base/change)", "pair 2 seed 6 (base/change)",
     ]
     assert lines[2].split() == [
-        "metric", "base_median", "change_median", "base_iqr", "gap", "wins", "claimable",
-        "verdict",
+        "metric", "base_median", "change_median", "base_iqr", "gap", "rel_gap", "bound",
+        "wins", "claimable", "verdict",
     ]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = [line.split() for line in lines[3:-2]]
     assert [r[0] for r in rows] == [m["name"] for m in bench["end_to_end"]]
-    for name, base, change, iqr, gap, wins, claimable, verdict in rows:
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    for name, base, change, iqr, gap, rel_gap, bound, wins, claimable, verdict in rows:
         assert float(base) > 0 and float(change) > 0 and float(iqr) >= 0
+        assert math.isfinite(float(rel_gap)) and float(bound) == bounds[name]
         assert wins in ("0/2", "1/2", "2/2") and claimable in ("yes", "no")
         assert verdict in ("held", "unresolved", "regressed")
     assert lines[-2:] == [
@@ -147,6 +150,11 @@ def test_bench_pairs_claims_only_a_steady_gain():
     row = bench_pairs.compare(base, [b - 0.5 for b in base], "lower", 0.25)
     assert row["wins"] == 10 and row["claimable"]
     assert row["gap"] == pytest.approx(0.5) and row["base_iqr"] == pytest.approx(0.15)
+    # the gap as a share of the base median, the scale of a metric's bound
+    assert row["rel_gap"] == pytest.approx(0.5)
+    assert bench_pairs.compare(base, [b + 0.3 for b in base], "lower", 0.25)["rel_gap"] == (
+        pytest.approx(-0.3)
+    )
     # a gap inside the base's quartile distance is no claim, whatever the wins
     assert not bench_pairs.compare(base, [b - 0.05 for b in base], "lower", 0.25)["claimable"]
     # 8 wins of 10 is no claim; "higher" counts the other way

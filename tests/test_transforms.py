@@ -237,6 +237,51 @@ def test_chebyshev_far_field_vector_call_is_the_scalar_calls(law):
     assert take.any() and not take.all()
 
 
+def test_chebyshev_far_field_blocks_keep_the_scalar_calls():
+    # the far field runs in blocks whose powers q^0 .. q^15 hold KERNEL_CHUNK
+    # floats; calls one short of a block, one block, one over and two blocks
+    # and three, each at two offsets, equal the scalar calls bit for bit
+    mu = semicircle(1.0, n_points=1001)
+    block = transforms.KERNEL_CHUNK // (2 * transforms.CHEBYSHEV_RUN)
+    lengths = [block - 1, block, block + 1, 2 * block + 3]
+    rng = np.random.default_rng(21)
+    count = max(lengths) + 1
+    zs = rng.uniform(-5.0, 5.0, count) + 1j * rng.uniform(1.0, 3.0, count)
+    assert chebyshev_take(mu, zs).all()
+    scalar = np.array([cauchy(mu, z) for z in zs])
+    for length, offset in itertools.product(lengths, [0, 1]):
+        got = cauchy(mu, zs[offset : offset + length])
+        assert np.array_equal(got, scalar[offset : offset + length]), (length, offset)
+    assert fsum_error(mu, zs[:200], scalar[:200]).max() <= 1e-13
+
+
+# direct-sum points of FIRST_LINE_CASE with every first-line point started
+# at w = z, 1e-2 above the axis (counted on the code before the off-axis start)
+DIRECT_POINTS_FROM_THE_AXIS = 679
+
+
+def first_line_case():
+    # semicircle [+] semicircle on 1001 nodes, variances drawn from a fixed seed
+    v1, v2 = np.random.default_rng(1).uniform(0.5, 1.5, size=2)
+    return free_convolve(
+        semicircle(v1, n_points=1001), semicircle(v2, n_points=1001), n_points=1001
+    )
+
+
+def test_first_line_off_the_axis_halves_the_direct_sums(monkeypatch):
+    direct = []
+    far_field = transforms._chebyshev_far_field
+
+    def counting(moments, z):
+        take, g = far_field(moments, z)
+        direct.append(int((~take).sum()))
+        return take, g
+
+    monkeypatch.setattr(transforms, "_chebyshev_far_field", counting)
+    first_line_case()
+    assert sum(direct) <= DIRECT_POINTS_FROM_THE_AXIS // 2, sum(direct)
+
+
 def test_chebyshev_far_field_serves_most_of_a_subordination_line(monkeypatch):
     # the subordination points of a density line sit above the nodes, and
     # most of them skip the direct sum
