@@ -282,6 +282,8 @@ def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
             out += [t.a + moments[1], *moments[2:]]
     except OverflowError as exc:
         raise NumericError(f"the cumulants of the triple overflow the floats: {exc}") from None
+    if not all(math.isfinite(k) for k in out if isinstance(k, float)):
+        raise NumericError("the cumulants of the triple overflow the floats: a grid moment")
     return out
 
 
@@ -348,6 +350,9 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
         keep = ~((np.abs(los) <= ORIGIN_TOL) & (np.abs(his) <= ORIGIN_TOL))
         if keep.any():
             lo_t, hi_t = float(los[keep].min()), float(his[keep].max())
+            if not (math.isfinite(lo_t) and math.isfinite(hi_t)):
+                raise NumericError(f"the image of rho's density under p leaves the floats: "
+                                   f"[{lo_t}, {hi_t}]")
             if hi_t - lo_t <= ORIGIN_TOL:
                 # the whole density maps to one point: emit it as an atom
                 atoms = _merge_atom_images(

@@ -163,15 +163,14 @@ def _chebyshev_far_field(moments, z):
     take = (aq < 1.0) & (bound <= CHEBYSHEV_TOL)  # |q| rounds to 1 near the nodes
     q, s = q[take], s[take]
     series = np.empty(q.shape, dtype=complex)
-    width = runs.shape[1]
-    step = KERNEL_CHUNK // (2 * width)
+    step = KERNEL_CHUNK // (2 * CHEBYSHEV_RUN)
     for i in range(0, len(q), step):
         qb = q[i : i + step]
-        # the powers q^0 .. q^(width - 1), each one product out of place
-        powers = np.empty((width, len(qb)), dtype=complex)
+        # the powers q^0 .. q^15, each one product out of place
+        powers = np.empty((CHEBYSHEV_RUN, len(qb)), dtype=complex)
         powers[0] = 1.0
         powers[1] = qb
-        for j in range(2, width):
+        for j in range(2, CHEBYSHEV_RUN):
             np.multiply(powers[j - 1], qb, out=powers[j])
         # every run against them in real arithmetic: a plain einsum sums each
         # column in one order whatever the column count, where BLAS need not

@@ -186,13 +186,22 @@ def test_levy_input_not_json_exit_2(tmp_path, capsys):
     assert str(bad) in err
 
 
-@pytest.mark.parametrize("action, flags, named", [
-    ("cumulants", ["--n", "6"], "the cumulants of the triple overflow"),  # x^4 in the moments
-    ("variation", ["--p", "pow:4"], "the variation triple overflows"),  # p(x) in the compensator
-])
-def test_levy_that_overflows_exits_3(tmp_path, capsys, action, flags, named):
+FAR_ATOM = {"atoms": [[1e100, 1]]}
+FAR_GRID = {"atoms": [], "grid": {"lo": 1e100, "hi": 2e100, "h": 1e99, "values": [1e-100] * 11}}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("rho, action, flags, named", [
+    # x^4 in the atom moments, and p(x) in the compensator
+    (FAR_ATOM, "cumulants", ["--n", "6"], "the cumulants of the triple overflow"),
+    (FAR_ATOM, "variation", ["--p", "pow:4"], "the variation triple overflows"),
+    # on a grid the same powers give inf, in the moments and in p's image
+    (FAR_GRID, "cumulants", ["--n", "6"], "the cumulants of the triple overflow"),
+    (FAR_GRID, "variation", ["--p", "pow:4"], "the image of rho's density under p leaves"),
+], ids=["atom-cumulants", "atom-variation", "grid-cumulants", "grid-variation"])
+def test_levy_that_overflows_exits_3(tmp_path, capsys, rho, action, flags, named):
     path = tmp_path / "triple.json"
-    path.write_text(json.dumps({"eta": 0, "a": 0, "rho": {"atoms": [[1e100, 1]]}}))
+    path.write_text(json.dumps({"eta": 0, "a": 0, "rho": rho}))
     target = tmp_path / "out.json"
     code, _, err = run(capsys, "levy", action, "--input", str(path), *flags, "--out", str(target))
     assert code == 3

@@ -255,17 +255,9 @@ def test_chebyshev_far_field_blocks_keep_the_scalar_calls():
     assert fsum_error(mu, zs[:200], scalar[:200]).max() <= 1e-13
 
 
-# direct-sum points of FIRST_LINE_CASE with every first-line point started
-# at w = z, 1e-2 above the axis (counted on the code before the off-axis start)
+# direct-sum points of the convolution below with every first-line point
+# started at w = z, 1e-2 above the axis (counted before the off-axis start)
 DIRECT_POINTS_FROM_THE_AXIS = 679
-
-
-def first_line_case():
-    # semicircle [+] semicircle on 1001 nodes, variances drawn from a fixed seed
-    v1, v2 = np.random.default_rng(1).uniform(0.5, 1.5, size=2)
-    return free_convolve(
-        semicircle(v1, n_points=1001), semicircle(v2, n_points=1001), n_points=1001
-    )
 
 
 def test_first_line_off_the_axis_halves_the_direct_sums(monkeypatch):
@@ -278,7 +270,9 @@ def test_first_line_off_the_axis_halves_the_direct_sums(monkeypatch):
         return take, g
 
     monkeypatch.setattr(transforms, "_chebyshev_far_field", counting)
-    first_line_case()
+    # semicircle [+] semicircle on 1001 nodes, variances drawn from a fixed seed
+    v1, v2 = np.random.default_rng(1).uniform(0.5, 1.5, size=2)
+    free_convolve(semicircle(v1, n_points=1001), semicircle(v2, n_points=1001), n_points=1001)
     assert sum(direct) <= DIRECT_POINTS_FROM_THE_AXIS // 2, sum(direct)
 
 
