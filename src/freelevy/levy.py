@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import DensityGrid, GridMeasure, NumericError, _is_integer, _is_real
 
-ORIGIN_TOL = 1e-12
+MERGE_RTOL = 1e-12
 INTEGRABILITY_GUARD = 1e12
 PUSHFORWARD_CELLS = 4096
 
@@ -38,19 +38,6 @@ def _check_json(data, kind: str, reals, measure: str):
             raise LevyError(f"a generating {kind} is a JSON object with the key {key!r}")
         if key in reals and not _is_real(data[key]):
             raise LevyError(f"{key} must be a real number, got {data[key]!r}")
-
-
-# ORIGIN_TOL as an exact ratio of integers
-_TOL_NUM, _TOL_DEN = ORIGIN_TOL.as_integer_ratio()
-
-
-def _is_zero(x) -> bool:
-    """abs(x) <= ORIGIN_TOL. A Fraction compared with a float is compared with
-    the float's exact value, so a Fraction is tested on integers against that
-    value, with no conversion of the float and no new Fraction per call."""
-    if isinstance(x, Fraction):
-        return abs(x.numerator) * _TOL_DEN <= _TOL_NUM * x.denominator
-    return abs(x) <= ORIGIN_TOL
 
 
 def _where(cond, yes, no):
@@ -125,15 +112,16 @@ def _reweighted(mu: GridMeasure, f):
 class LevyMeasure(GridMeasure):
     """A GridMeasure with the origin excluded and min(1, x^2) integrable.
 
-    The total mass may be large, but the origin carries none: atoms at 0
-    are rejected and the grid node nearest 0 is zeroed.
+    The total mass may be large, but the origin carries none: an atom at
+    exactly 0 is rejected (any other is kept, so dilations stay Levy
+    measures) and the grid node nearest 0 is zeroed.
     """
 
     def __post_init__(self):
         for loc, mass in self.atoms:
             if mass < 0:
                 raise LevyError(f"negative mass {mass} at {loc}")
-            if _is_zero(loc) and mass != 0:
+            if loc == 0 and mass != 0:
                 raise LevyError("Levy measures carry no atom at the origin")
         super().__post_init__()
         if self.grid is not None:
@@ -154,9 +142,6 @@ class LevyMeasure(GridMeasure):
                 raise LevyError(
                     f"integral of min(1, x^2) = {guard} exceeds the {INTEGRABILITY_GUARD} guard"
                 )
-
-    def is_trivial(self) -> bool:
-        return not self.atoms and (self.grid is None or self.grid.mass() == 0.0)
 
     def to_grid_measure(self) -> GridMeasure:
         return GridMeasure(list(self.atoms), self.grid)
@@ -219,7 +204,7 @@ class VariationMap:
 
     def __post_init__(self):
         p0 = self.p(0.0)
-        if abs(p0) > ORIGIN_TOL:
+        if p0 != 0:
             raise LevyError(f"variation maps require p(0) = 0, got p(0) = {p0}")
 
     @classmethod
@@ -241,8 +226,8 @@ class VariationMap:
             raise LevyError("polynomial maps need at least one coefficient")
 
         def p(x):
-            acc = 0
-            for cj in reversed(coeffs):
+            acc = coeffs[-1]
+            for cj in reversed(coeffs[:-1]):
                 acc = acc * x + cj
             return acc * x
 
@@ -264,10 +249,19 @@ def triple_to_pair(t: GeneratingTriple) -> GeneratingPair:
 
 
 def pair_to_triple(p: GeneratingPair) -> GeneratingTriple:
-    """(gamma, sigma) -> (eta, a, rho): a = sigma({0}), rho = (1+x^2)/x^2 sigma."""
-    a = sum((m for x, m in p.sigma.atoms if _is_zero(x)), start=0)
-    off_atoms = [(x, m) for x, m in p.sigma.atoms if not _is_zero(x)]
-    rho = LevyMeasure(*_reweighted(GridMeasure(off_atoms, p.sigma.grid), _rho_weight))
+    """(gamma, sigma) -> (eta, a, rho): a = sigma({0}), rho = (1+x^2)/x^2 sigma.
+
+    Only sigma's atom at exactly 0 goes to a. NumericError where an atom's
+    rho mass leaves the floats (x^2 underflows, or m / x^2 overflows)."""
+    a = sum((m for x, m in p.sigma.atoms if x == 0), start=0)
+    off_atoms = [(x, m) for x, m in p.sigma.atoms if x != 0]
+    try:
+        atoms, grid = _reweighted(GridMeasure(off_atoms, p.sigma.grid), _rho_weight)
+        if math.inf in (m for _, m in atoms):
+            raise OverflowError
+    except (ZeroDivisionError, OverflowError):
+        raise NumericError("the pair's rho overflows the floats at an atom near 0") from None
+    rho = LevyMeasure(atoms, grid)
     return GeneratingTriple(p.gamma + rho.integrate(_tilt), a, rho)
 
 
@@ -293,7 +287,7 @@ def compound_poisson_triple(lam, jump: GridMeasure) -> GeneratingTriple:
         raise LevyError(f"rate must be positive, got {lam}")
     if not jump.is_probability(tol=1e-6):
         raise LevyError("jump must be a probability measure")
-    atoms = [(x, lam * m) for x, m in jump.atoms if not _is_zero(x)]
+    atoms = [(x, lam * m) for x, m in jump.atoms if x != 0]
     grid = None
     if jump.grid is not None:
         grid = DensityGrid(
@@ -310,7 +304,7 @@ def _merge_atom_images(pairs):
     images = sorted(((float(loc), loc, mass) for loc, mass in pairs), key=lambda t: t[0])
     merged, head = [], None  # head: float(merged[-1][0])
     for y, loc, mass in images:
-        if merged and abs(y - head) <= ORIGIN_TOL * max(1.0, abs(y)):
+        if merged and abs(y - head) <= MERGE_RTOL * abs(y):
             merged[-1] = (merged[-1][0], merged[-1][1] + mass)
         else:
             merged.append((loc, mass))
@@ -319,23 +313,21 @@ def _merge_atom_images(pairs):
 
 
 def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
-    """Image measure of rho under p, with images at 0 dropped.
+    """Image measure of rho under p, with images at exactly 0 dropped.
 
-    Atom images within 1e-12 of each other merge their masses. The density
+    The origin rule is the compensator's, and the one "same point" rule is
+    relative: atom images within MERGE_RTOL |y| of each other merge their
+    masses. So, for c a power of 2, the image under x^k of rho dilated by c
+    is the image of rho dilated by c^k, bit for bit. The density
     part has one rule for every map: each source cell's trapezoid mass
     spreads uniformly over its image enclosure, the interval from the least
     to the greatest of p at the cell's two ends and its midpoint (so a cell
     across a fold of p, such as the vertex of an even power, covers its
     image), onto PUSHFORWARD_CELLS cells spanning the image. A density
-    whose whole image is one point becomes an atom there.
+    whose whole image is one point (to MERGE_RTOL relative) is an atom.
     """
-    atom_images = []
-    for x, m in rho.atoms:
-        y = vm.p(x)
-        if _is_zero(y):
-            continue
-        atom_images.append((y, m))
-    atoms = _merge_atom_images(atom_images)
+    atom_images = ((vm.p(x), m) for x, m in rho.atoms)
+    atoms = _merge_atom_images((y, m) for y, m in atom_images if y != 0)
 
     grid = None
     if rho.grid is not None and rho.grid.mass() > 0:
@@ -347,13 +339,13 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
         mids = np.asarray(vm.p((xs[:-1] + xs[1:]) / 2.0), dtype=float)
         los = np.minimum(np.minimum(images[:-1], images[1:]), mids)
         his = np.maximum(np.maximum(images[:-1], images[1:]), mids)
-        keep = ~((np.abs(los) <= ORIGIN_TOL) & (np.abs(his) <= ORIGIN_TOL))
+        keep = (los != 0) | (his != 0)
         if keep.any():
             lo_t, hi_t = float(los[keep].min()), float(his[keep].max())
             if not (math.isfinite(lo_t) and math.isfinite(hi_t)):
                 raise NumericError(f"the image of rho's density under p leaves the floats: "
                                    f"[{lo_t}, {hi_t}]")
-            if hi_t - lo_t <= ORIGIN_TOL:
+            if hi_t - lo_t <= MERGE_RTOL * max(abs(lo_t), abs(hi_t)):
                 # the whole density maps to one point: emit it as an atom
                 atoms = _merge_atom_images(
                     atoms + [((lo_t + hi_t) / 2.0, float(cell_mass[keep].sum()))]
@@ -373,10 +365,10 @@ def pushforward_levy(rho: LevyMeasure, vm: VariationMap) -> LevyMeasure:
 
 def _deposit(n_cells, lo, h, a, b, mass):
     """Node masses after spreading each mass[i] uniformly over [a[i], b[i]]
-    (all at a[i] when b[i] - a[i] <= 1e-15) onto n_cells uniform cells
+    (all at a[i] when b[i] == a[i]) onto n_cells uniform cells
     starting at lo; each cell's share goes half to each of its end nodes."""
     node_mass = np.zeros(n_cells + 1)
-    point = b - a <= 1e-15
+    point = b == a
     j0 = np.clip(((a - lo) / h).astype(int), 0, n_cells - 1)
     j1 = np.where(point, j0, np.clip(((b - lo) / h).astype(int), 0, n_cells - 1))
     width = np.where(point, 1.0, b - a)

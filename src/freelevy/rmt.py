@@ -68,6 +68,10 @@ class SimError(ValueError):
 
 @dataclass
 class SimConfig:
+    """A campaign's model. Jump atoms must be nonzero, exactly: with no
+    absolute floor, a jump law dilated by c = 2^j is accepted, and every
+    `sim variation` moment of order n scales by c^(kn), the proxies by c^k."""
+
     d: int
     trials: int
     master_seed: int
@@ -98,7 +102,7 @@ class SimConfig:
         if not self.lam > 0:
             raise SimError(f"jump rate lam must be > 0, got {self.lam}")
         self.jump = [(float(x), float(m)) for x, m in self.jump]
-        if not all(abs(x) > 1e-12 for x, _ in self.jump):
+        if not all(x != 0 for x, _ in self.jump):
             raise SimError("jump atoms must be nonzero")
         if not all(m >= 0 for _, m in self.jump):
             raise SimError("jump masses must be >= 0")

@@ -82,6 +82,17 @@ def test_levy_variation_pow2(tmp_path, capsys):
     assert data["rho"]["atoms"] == [[1.0, 1.0]]
 
 
+def test_levy_variation_keeps_a_tiny_image(tmp_path, capsys):
+    # only an image at exactly 0 is dropped: x^2 sends the jump 1e-7 to 1e-14,
+    # which stays both in rho and in the compensator's drift
+    path = write_triple(tmp_path, 0.0, 0.0, [[1e-7, 1.0]])
+    code, out, _ = run(capsys, "levy", "variation", "--input", str(path), "--p", "pow:2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rho"]["atoms"] == [[1e-7**2, 1.0]]
+    assert data["eta"] == 1e-7**2
+
+
 def test_levy_variation_steep_map(tmp_path, capsys):
     # p(x) = 2000 x sends the jump 0.0009 to 1.8 > 1: eta' = -b x = -1.8
     path = write_triple(tmp_path, 0.0, 0.0, [[0.0009, 1.0]])
@@ -128,6 +139,32 @@ def test_levy_roundtrip_files(tmp_path, capsys):
     assert data["eta"] == pytest.approx(2.0, abs=1e-12)
     assert data["a"] == pytest.approx(0.5, abs=1e-12)
     assert data["rho"]["atoms"] == [[2.0, 1.0]]
+
+
+def write_pair(tmp_path, gamma, atoms):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"gamma": gamma, "sigma": {"atoms": atoms, "grid": None}}))
+    return path
+
+
+def test_levy_to_triple_keeps_a_tiny_sigma_atom_off_the_origin(tmp_path, capsys):
+    # only sigma's atom at exactly 0 is the semicircular part a
+    path = write_pair(tmp_path, 0.0, [[1e-100, 1.0]])
+    code, out, _ = run(capsys, "levy", "to-triple", "--input", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["a"] == 0.0
+    [[atom, mass]] = data["rho"]["atoms"]
+    assert atom == 1e-100 and mass == pytest.approx(1e200, rel=1e-15)
+
+
+@pytest.mark.parametrize("atom", [1e-200, 1e-160], ids=["x2-underflows", "mass-overflows"])
+def test_levy_to_triple_whose_rho_leaves_the_floats_exits_3(tmp_path, capsys, atom):
+    path = write_pair(tmp_path, 0.0, [[atom, 1.0]])
+    code, _, err = run(capsys, "levy", "to-triple", "--input", str(path))
+    assert code == 3
+    assert "numeric failure: the pair's rho overflows the floats" in err
+    assert "Traceback" not in err
 
 
 def test_levy_cumulants(tmp_path, capsys):
@@ -240,6 +277,17 @@ def write_config(tmp_path, **kw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base))
     return path
+
+
+def test_sim_variation_predicts_a_tiny_jump(tmp_path, capsys):
+    # for delta_a, lam t = 1 and k = 2 the limit law is free Poisson with
+    # jump a^2: m_2 = 2 a^4, where an absolute floor at 1e-12 once gave a^4
+    a = 1e-6
+    cfg = write_config(tmp_path, d=20, trials=2, N=4, k=2, k_max=2, jump=[[a, 1.0]])
+    out_dir = tmp_path / "run"
+    run(capsys, "sim", "variation", "--config", str(cfg), "--out", str(out_dir))
+    report = json.loads((out_dir / "variation_k2.json").read_text())
+    assert report["moments"][1]["predicted"] == pytest.approx(2 * a**4, rel=1e-15, abs=0)
 
 
 def test_sim_identity_cli(tmp_path, capsys):

@@ -7,13 +7,11 @@ import pytest
 
 from freelevy.cumulants import cumulants_to_moments
 from freelevy.levy import (
-    ORIGIN_TOL,
     GeneratingPair,
     GeneratingTriple,
     LevyError,
     LevyMeasure,
     VariationMap,
-    _is_zero,
     bernoulli_family,
     bp_limit_check,
     compound_poisson_triple,
@@ -40,8 +38,14 @@ def triple(eta, a, rho_pairs):
 
 
 def test_levy_measure_rejects_origin_atom():
-    with pytest.raises(LevyError):
-        LevyMeasure([(0.0, 1.0)])
+    for zero in (0, 0.0, -0.0, Fraction(0)):
+        with pytest.raises(LevyError, match="no atom at the origin"):
+            LevyMeasure([(zero, 1.0)])
+
+
+def test_levy_measure_keeps_an_atom_however_small():
+    # "at the origin" means exactly 0: 2^-41 is below the old 1e-12 floor
+    assert LevyMeasure([(2**-41, 1)]).atoms == [(2**-41, 1)]
 
 
 def test_levy_measure_zeroes_origin_cell():
@@ -97,7 +101,7 @@ def test_pair_at_two():
 def test_pair_to_triple_inverse():
     t = pair_to_triple(GeneratingPair(0, GridMeasure([(0, 1)])))
     assert (t.eta, t.a) == (0, 1)
-    assert t.rho.is_trivial()
+    assert t.rho.atoms == [] and t.rho.grid is None
 
     lam = Fraction(5, 3)
     t = pair_to_triple(GeneratingPair(lam / 2, GridMeasure([(1, lam / 2)])))
@@ -153,7 +157,7 @@ def test_pushforward_scales_mass():
 def test_pushforward_drops_zero_images():
     vm = VariationMap.polynomial([-1, 0, 1])  # p(x) = x^3 - x, p(1) = 0
     out = pushforward_levy(atomic([(1, 2)]), vm)
-    assert out.is_trivial()
+    assert out.atoms == [] and out.grid is None
 
 
 def test_pushforward_density_preserves_test_integrals():
@@ -206,6 +210,31 @@ def test_pushforward_square_nonnegative_support():
     out = pushforward_levy(rho, VariationMap.power(2))
     assert all(x >= -1e-12 for x, _ in out.atoms)
     assert out.grid is None or out.grid.lo >= -1e-12
+
+
+def dilated(rho, c):
+    """rho(dx / c): the atoms moved to c x, the density spread over c times its grid."""
+    g = rho.grid
+    return LevyMeasure([(c * x, m) for x, m in rho.atoms],
+                       DensityGrid(c * g.lo, c * g.hi, c * g.h, g.values / c))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pushforward_commutes_with_dilations(k):
+    # c = 2^j scales every float exactly, and neither the origin rule nor the
+    # merge of images depends on the scale, so the image of rho dilated by c
+    # is the image of rho dilated by c^k, bit for bit (x^2 merges -0.5, 0.5)
+    grid = DensityGrid.from_function(-1.5, 2.5, 401, lambda x: np.exp(-x * x))
+    rho = LevyMeasure([(-1.3, 1.0), (-0.5, 0.25), (0.5, 0.5), (0.7, 0.75)], grid)
+    vm = VariationMap.power(k)
+    base = pushforward_levy(rho, vm)
+    for j in range(-40, 41):
+        c, ck = math.ldexp(1.0, j), math.ldexp(1.0, j * k)
+        out = pushforward_levy(dilated(rho, c), vm)
+        assert out.atoms == [(ck * y, m) for y, m in base.atoms], j
+        assert (out.grid.lo, out.grid.hi, out.grid.h) == (
+            ck * base.grid.lo, ck * base.grid.hi, ck * base.grid.h), j
+        assert np.array_equal(out.grid.values, base.grid.values / ck), j
 
 
 # -- variation triple -------------------------------------------------------------
@@ -294,6 +323,21 @@ def test_variation_cumulant_consistency_powers():
                 assert got[m - 1] == expected, (k, m)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compound_poisson_variation_has_the_pushed_jumps(k):
+    # the k-th variation of rate-lam compound Poisson with jump law nu is
+    # compound Poisson with nu pushed forward by x^k: kappa_n = lam int x^(kn) dnu
+    # (a jump at 0, which the triple drops, adds nothing to either side)
+    rng = random.Random(k)
+    for _ in range(10):
+        locs = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)})
+        weights = [rng.randint(1, 5) for _ in locs]
+        nu = GridMeasure([(x, Fraction(w, sum(weights))) for x, w in zip(locs, weights)])
+        lam = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        t = variation_triple(compound_poisson_triple(lam, nu), VariationMap.power(k))
+        assert triple_to_cumulants(t, 5) == [lam * nu.moment(k * n) for n in range(1, 6)]
+
+
 def test_variation_square_k1_means_a_plus_m2():
     # kappa_1 of the quadratic variation is a + int x^2 drho
     for _ in range(5):
@@ -303,6 +347,24 @@ def test_variation_square_k1_means_a_plus_m2():
         t = triple(Fraction(rng.randint(-3, 3)), a, rho)
         out = triple_to_cumulants(variation_triple(t, VariationMap.power(2)), 1)
         assert out[0] == a + t.rho.moment(2)
+
+
+def test_polynomial_map_keeps_exact_inputs_exact_and_arrays_elementwise():
+    vm = VariationMap.polynomial([2, Fraction(-1, 3), 1])
+    for x in (5, Fraction(-7, 4)):
+        got = vm.p(x)
+        assert got == 2 * x - Fraction(1, 3) * x**2 + x**3 and type(got) is Fraction
+    ints = VariationMap.polynomial([2, -3, 1]).p(5)
+    assert ints == 60 and type(ints) is int
+    floats = VariationMap.polynomial([1.5, -2.0, 0.25])
+    xs = np.array([-1.3, 0.0, 0.7, 2.5])
+    assert np.array_equal(floats.p(xs), [floats.p(float(x)) for x in xs])
+
+
+@pytest.mark.parametrize("p0", [1e-13, -2.0**-60])
+def test_variation_map_needs_p_of_0_exactly_0(p0):
+    with pytest.raises(LevyError, match="require p\\(0\\) = 0"):
+        VariationMap(p=lambda x: x + p0, b=1, c=0)
 
 
 # -- cumulants of triples --------------------------------------------------------
@@ -344,16 +406,6 @@ def test_triple_to_cumulants_builds_one_fraction_per_order(monkeypatch):
         counts[n] = len(calls)
     assert counts[10] <= 10 + 4 * len(atoms), counts
     assert counts[20] - counts[10] <= 10, counts
-
-
-def test_is_zero_agrees_with_the_float_comparison():
-    tol = Fraction(ORIGIN_TOL)
-    tiny = Fraction(1, 10**40)
-    for x in [tol - tiny, tol, tol + tiny, Fraction(1, 10**12), Fraction(0), Fraction(3, 2)]:
-        for value in (x, -x):
-            assert _is_zero(value) is (abs(value) <= 1e-12), value
-    assert [_is_zero(v) for v in (0, 1, 1e-12, -1e-12, 2e-12, -0.0)] == [
-        True, False, True, True, False, True]
 
 
 def test_series_oracle_matches_power_series():

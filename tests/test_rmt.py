@@ -428,6 +428,29 @@ def test_finite_n_reference_scales_with_the_jumps(k):
         assert got == [math.ldexp(m, j * k * n) for n, m in enumerate(base, 1)], j
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_variation_scales_with_the_jumps(k):
+    # the kernel is linear in the jumps and c = 2^j scales every float
+    # exactly, so a report on c nu is the report on nu with order n scaled by
+    # c^(kn) and the proxies by c^k; no rule at the origin depends on the scale
+    jump = [[0.7, 0.5], [-1.3, 0.5]]
+    cfg = dict(d=12, trials=3, N=4, k_max=4)
+    base = verify_variation(small_config(jump=jump, **cfg), k)
+    for j in (-40, -17, 0, 13, 40):
+        c = math.ldexp(1.0, j)
+        report = verify_variation(small_config(jump=[[c * x, m] for x, m in jump], **cfg), k)
+        for n, (got, want) in enumerate(zip(report.moments, base.moments), 1):
+            scale = math.ldexp(1.0, j * k * n)
+            assert [got[key] for key in ("mean", "stderr", "predicted")] == [
+                scale * want[key] for key in ("mean", "stderr", "predicted")], (j, n)
+            assert got["z"] == want["z"], (j, n)
+        extras, base_extras = report.extras, base.extras
+        assert extras["finite_n_reference"] == [
+            math.ldexp(m, j * k * n) for n, m in enumerate(base_extras["finite_n_reference"], 1)]
+        assert extras["proxy_norms"] == [math.ldexp(p, j * k) for p in base_extras["proxy_norms"]]
+        assert report.passed == base.passed
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_verify_variation_means_are_the_public_model(k):
     cfg = small_config(d=30, trials=2, N=8, t=0.7, lam=0.9, jump=[[-0.7, 0.4], [1.3, 0.6]])
