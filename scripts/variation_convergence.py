@@ -11,7 +11,7 @@ import argparse
 import csv
 import sys
 
-from freelevy.rmt import SimConfig, predicted_variation_moments, verify_variation
+from freelevy.rmt import SimConfig, verify_variation
 
 
 def main(argv=None):
@@ -32,7 +32,7 @@ def main(argv=None):
         )
         report = verify_variation(cfg, args.k, threads=args.threads)
         finite = report.extras["finite_n_reference"]
-        limit = predicted_variation_moments(cfg, args.k, cfg.k_max)
+        limit = [m["predicted"] for m in report.moments]
         proxy = report.extras["proxy_norms"][-1]
         for m, fin, lim in zip(report.moments, finite, limit):
             rows.append(

@@ -245,8 +245,6 @@ def two_point(a, b, pa, pb) -> GridMeasure:
 
 def bernoulli_symmetric() -> GridMeasure:
     """The measure (delta_-1 + delta_1) / 2."""
-    from fractions import Fraction
-
     return two_point(-1, 1, Fraction(1, 2), Fraction(1, 2))
 
 

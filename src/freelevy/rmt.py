@@ -26,15 +26,7 @@ import numpy as np
 
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
-from .levy import VariationMap, compound_poisson_triple, triple_to_cumulants, variation_triple
-from .measures import (
-    GridMeasure,
-    NumericError,
-    _exact_atom_moments,
-    _is_integer,
-    _is_real,
-    _is_real_pairs,
-)
+from .measures import NumericError, _exact_atom_moments, _is_integer, _is_real, _is_real_pairs
 from .ncsym import stochastic_integral_poly
 
 HERMITIAN_TOL = 1e-12
@@ -113,9 +105,6 @@ class SimConfig:
             raise SimError(
                 f"normalized-rate convention needs lam * t <= 1, got {self.lam * self.t}"
             )
-
-    def jump_measure(self) -> GridMeasure:
-        return GridMeasure(list(self.jump))
 
     def to_json(self) -> dict:
         out = {
@@ -440,46 +429,49 @@ def _run_trials(fn, trials: int, threads: int):
         return list(pool.map(fn, range(trials)))
 
 
+def _step_cumulants(config: SimConfig, n: int, orders: int) -> list:
+    """The free cumulants delta int x^j d jump, j = 1..orders, of one step of
+    an n-step grid of [0, t]: free compound Poisson of rate delta = lam t / n.
+    lam, t, the atoms and the masses enter as the exact values of their
+    floats, so every reference built on these is exact until it is rounded
+    once, at its output."""
+    delta = Fraction(config.lam) * Fraction(config.t) / n
+    jump = [(Fraction(x), Fraction(mass)) for x, mass in config.jump]
+    return [delta * m for m in _exact_atom_moments(jump, orders)]
+
+
 def predicted_variation_moments(config: SimConfig, k: int, orders: int) -> list:
-    """Exact moments of the k-th variation at time t via the triple pipeline."""
-    triple = compound_poisson_triple(config.lam, config.jump_measure())
-    var = variation_triple(triple, VariationMap.power(k))
-    kappas = [config.t * kappa for kappa in triple_to_cumulants(var, orders)]
+    """Moments of the k-th variation at time t, the limiting law: compound
+    Poisson with the jumps pushed through x^k, so its free cumulants are
+    every k-th cumulant of the whole interval's law, lam t int x^(kj) d jump."""
+    kappas = _step_cumulants(config, 1, orders * k)[k - 1 :: k]
     return [float(m) for m in cumulants_to_moments(kappas)]
 
 
 def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
-    """Exact moments of sum_i X_(i,N)^k at finite N (the pre-limit law).
+    """Moments of sum_i X_(i,N)^k at finite N (the pre-limit law).
 
     The law is the N-fold free convolution power of the pushforward of one
     increment's law under x^k; it differs from the limiting variation law at
     order O(1/N), e.g. its first moment is lam t + (lam t int x d jump)^2 / N
     plus higher corrections. Reports carry it as a reference so the
     systematic truncation gap is visible next to the Monte Carlo error.
-    lam, t, the atoms and the masses enter as the exact values of their
-    floats, so each output is its exact moment rounded once.
     """
-    delta = Fraction(config.lam) * Fraction(config.t) / config.N
-    jump = [(Fraction(x), Fraction(mass)) for x, mass in config.jump]
-    inc_moments = cumulants_to_moments(
-        [delta * m for m in _exact_atom_moments(jump, orders * k)]
-    )
-    nu_moments = [inc_moments[j * k - 1] for j in range(1, orders + 1)]
-    nu_kappas = moments_to_cumulants(nu_moments)
-    return [
-        float(m) for m in cumulants_to_moments([config.N * x for x in nu_kappas])
-    ]
+    inc_moments = cumulants_to_moments(_step_cumulants(config, config.N, orders * k))
+    nu_kappas = moments_to_cumulants(inc_moments[k - 1 :: k])
+    return [float(m) for m in cumulants_to_moments([config.N * x for x in nu_kappas])]
 
 
 NO_SPREAD = "no spread across the trials, and the mean misses the prediction"
 
 
 def _z_score(mean: float, stderr: float, predicted: float):
-    """(mean - predicted) / stderr; with no spread, 0 on a match and None (a
-    JSON null, for the reason NO_SPREAD) otherwise."""
+    """(mean - predicted) / stderr; with no spread, 0 on a match, within
+    1e-12 max(|mean|, |predicted|) so that the rule is scale-free, and None
+    (a JSON null, for the reason NO_SPREAD) otherwise."""
     if stderr > 0:
         return (mean - predicted) / stderr
-    return 0.0 if abs(mean - predicted) <= 1e-12 else None
+    return 0.0 if abs(mean - predicted) <= 1e-12 * max(abs(mean), abs(predicted)) else None
 
 
 def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
@@ -496,13 +488,15 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     histogram; they match repeated matrix products to 1e-15 relative."""
     if not _is_integer(k):
         raise SimError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise SimError(f"k must be >= 1, got {k}")
     if config.trials < 2:
         raise SimError(f"a standard error needs at least 2 trials, got {config.trials}")
     orders = config.k_max
     try:
         predicted = predicted_variation_moments(config, k, orders)
         finite_reference = finite_n_power_sum_moments(config, k, orders)
-    except (OverflowError, NumericError) as exc:
+    except OverflowError as exc:
         raise NumericError(f"the predicted moments overflow the floats: {exc}") from None
     schedule = _doubling_schedule(config.N)
 
@@ -688,7 +682,8 @@ def mixed_decay(
     """Second moment of mixed sums of two independent increment families
     along a doubling schedule; passes when it decays from a positive value
     at the first schedule point to below the threshold times that value.
-    The report also carries the free large-d value of m2 at each point and
+    The report also carries the free large-d value of m2 at each point n,
+    `_free_mixed_m2` of the first two moments of one step's law, and
     z-scores against it (null with one trial, and null with the reason
     NO_SPREAD when the trials agree and miss it); they do not enter the verdict.
     m2 = (1/d) tr(S S*) is the squared Frobenius norm of S, taken over the
@@ -723,17 +718,12 @@ def mixed_decay(
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
     ns = schedule or _doubling_schedule(config.N)[1:] or [config.N]
-    # the free large-d law: one step is free compound Poisson of rate
-    # delta = lam t / n, so m1 = delta mu1 and m2 = delta mu2 + (delta mu1)^2
     try:
-        mu1, mu2 = (sum(mass * x**p for x, mass in config.jump) for p in (1, 2))
-        predicted = []
-        for n in ns:
-            delta = config.lam * config.t / n
-            predicted.append(
-                _free_mixed_m2(delta * mu1, delta * mu2 + (delta * mu1) ** 2, n, mode)
-            )
-    except (OverflowError, NumericError) as exc:
+        predicted = [
+            float(_free_mixed_m2(*cumulants_to_moments(_step_cumulants(config, n, 2)), n, mode))
+            for n in ns
+        ]
+    except OverflowError as exc:
         raise NumericError(f"the predicted m2 overflows the floats: {exc}") from None
 
     def one_trial(trial):

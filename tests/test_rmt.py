@@ -2,14 +2,23 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freelevy.cumulants import free_joint_functional, mixed_free_cumulant
+from freelevy.cumulants import (
+    cumulants_to_moments,
+    free_joint_functional,
+    mixed_free_cumulant,
+    moments_to_cumulants,
+)
 from freelevy import rmt
 from freelevy.measures import semicircle
 from freelevy.rmt import (
@@ -340,6 +349,33 @@ def test_mixed_decay_with_no_spread_gives_null_z_scores(monkeypatch):
     assert "Infinity" not in report.dumps()
 
 
+def test_zero_spread_z_is_scale_free():
+    # no jump fires at this rate, so every trial's moments are 0 and miss the
+    # prediction: the law and its dilation by 2^-20 read one verdict, since a
+    # match is judged relative to the larger side, with no absolute floor
+    reports = [
+        verify_variation(small_config(d=4, trials=2, N=4, lam=1e-3, master_seed=0,
+                                      jump=[[x, 1.0]]), 2)
+        for x in (1.0, 2.0**-20)
+    ]
+    for report in reports:
+        assert [m["mean"] for m in report.moments] == [0.0] * 5
+        assert [m["z"] for m in report.moments] == [None] * 5
+        assert not report.passed
+
+
+def test_mixed_decay_with_no_spread_on_the_prediction_gives_zero_z(monkeypatch):
+    schedule = [8, 16, 32, 64]
+    predicted = [float(_free_mixed_m2(Fraction(0), Fraction(0.3) / n, n, "anticommutator"))
+                 for n in schedule]
+    monkeypatch.setattr(rmt, "_run_trials", lambda fn, trials, threads: [predicted] * trials)
+    report = mixed_decay(small_config(d=10, trials=2, lam=0.3, jump=[[-1.0, 0.5], [1.0, 0.5]]),
+                         schedule=schedule)
+    assert report.extras["predicted_m2_by_n"] == predicted
+    assert report.extras["z_by_n"] == [0.0] * 4
+    assert "z_reason" not in report.extras
+
+
 def test_kernels_with_no_fired_coordinate_give_zero():
     cfg = small_config(d=6, trials=1, N=4, lam=1e-9)
     assert all(_fired(cfg, 0, f)[0].shape == (6, 0) for f in "ab")
@@ -358,8 +394,6 @@ def test_predicted_moments_catalan():
 def test_predicted_moments_symmetric_cube():
     cfg = small_config(lam=1.0, jump=[[-1.0, 0.5], [1.0, 0.5]])
     # kappa_m of the cubic variation alternates 0, 1, 0, 1
-    from freelevy.cumulants import cumulants_to_moments
-
     expected = [float(x) for x in cumulants_to_moments([0, 1, 0, 1, 0])]
     assert predicted_variation_moments(cfg, 3, 5) == expected
 
@@ -428,6 +462,64 @@ def test_finite_n_reference_scales_with_the_jumps(k):
         assert got == [math.ldexp(m, j * k * n) for n, m in enumerate(base, 1)], j
 
 
+def _random_float_configs(count, seed):
+    # non-dyadic rates, times, masses and atoms, so no reference is exact in floats
+    rng = random.Random(seed)
+    for _ in range(count):
+        weights = [rng.uniform(0.1, 1.0) for _ in range(rng.randint(1, 4))]
+        yield small_config(
+            N=rng.choice([1, 3, 7, 64]), t=rng.uniform(0.1, 1.0), lam=rng.uniform(0.1, 1.0),
+            jump=[[rng.choice([-1, 1]) * rng.uniform(0.1, 2.0), w / sum(weights)]
+                  for w in weights])
+
+
+def _exact_step_law(cfg, n):
+    """(delta, mu) in Fractions: one step's rate and mu(j) = int x^j d jump,
+    summed atom by atom."""
+    delta = Fraction(cfg.lam) * Fraction(cfg.t) / n
+    return delta, lambda j: sum(Fraction(m) * Fraction(x) ** j for x, m in cfg.jump)
+
+
+def test_references_are_their_exact_values_rounded_once(monkeypatch):
+    # each reference is float() of its exact value on the floats' exact
+    # values, computed here apart: the closed form lam t int x^(kj), the
+    # moment-cumulant chain of the pre-limit law and _free_mixed_m2 on exact
+    # m1, m2
+    for cfg in _random_float_configs(50, seed=23):
+        for k in (2, 3):
+            delta, mu = _exact_step_law(cfg, 1)
+            limit = cumulants_to_moments([delta * mu(k * j) for j in range(1, 5)])
+            assert predicted_variation_moments(cfg, k, 4) == [float(m) for m in limit]
+            delta, mu = _exact_step_law(cfg, cfg.N)
+            step = cumulants_to_moments([delta * mu(j) for j in range(1, 4 * k + 1)])
+            pushed = moments_to_cumulants(step[k - 1 :: k])
+            finite = cumulants_to_moments([cfg.N * c for c in pushed])
+            assert rmt.finite_n_power_sum_moments(cfg, k, 4) == [float(m) for m in finite]
+        schedule = [1, 3, 8, 64]
+        monkeypatch.setattr(rmt, "_run_trials", lambda fn, trials, threads: [[1.0] * 4] * trials)
+        for mode in ("anticommutator", "product"):
+            want = []
+            for n in schedule:
+                delta, mu = _exact_step_law(cfg, n)
+                m1 = delta * mu(1)
+                want.append(float(_free_mixed_m2(m1, delta * mu(2) + m1**2, n, mode)))
+            report = mixed_decay(cfg, mode, schedule=schedule)
+            assert report.extras["predicted_m2_by_n"] == want
+
+
+def test_rmt_does_not_import_the_triple_calculus():
+    # the campaigns' references are closed forms; the triple pipeline stays a
+    # tier-1 cross-check in test_levy
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(rmt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, freelevy.rmt; print(sorted(m for m in sys.modules if m.startswith('freelevy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert "freelevy.rmt" in out
+    assert "freelevy.levy" not in out
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_verify_variation_scales_with_the_jumps(k):
     # the kernel is linear in the jumps and c = 2^j scales every float
@@ -462,6 +554,11 @@ def test_verify_variation_means_are_the_public_model(k):
     # the campaign sums by the rank-structured kernel, so only rounding differs
     expected = [float(col.mean()) for col in rows.T]
     assert [m["mean"] for m in report.moments] == pytest.approx(expected, rel=1e-12)
+
+
+def test_verify_variation_rejects_a_k_below_1():
+    with pytest.raises(SimError, match="^k must be >= 1, got 0$"):
+        verify_variation(small_config(d=4, trials=2, N=4), 0)
 
 
 def test_verify_variation_needs_two_trials():
