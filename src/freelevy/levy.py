@@ -285,7 +285,7 @@ def compound_poisson_triple(lam, jump: GridMeasure) -> GeneratingTriple:
     """Triple of the rate-lam compound Poisson law with the given jump law."""
     if lam <= 0:
         raise LevyError(f"rate must be positive, got {lam}")
-    if not jump.is_probability(tol=1e-6):
+    if not jump.is_probability():
         raise LevyError("jump must be a probability measure")
     atoms = [(x, lam * m) for x, m in jump.atoms if x != 0]
     grid = None

@@ -149,8 +149,8 @@ class GridMeasure:
             total += self.grid.mass()
         return total
 
-    def is_probability(self, tol=1e-6) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= 1e-6
 
     def integrate(self, f):
         """Integral of f: exact over atoms when locations/masses are exact."""

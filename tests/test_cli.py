@@ -459,6 +459,24 @@ def test_sim_non_real_field_exit_2(tmp_path, capsys, field, value):
     assert "PASS" not in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_sim_variation_k_max_below_1_exit_2(tmp_path, capsys, k_max):
+    cfg = write_config(tmp_path, k=2, k_max=k_max)
+    code, out, err = run(capsys, "sim", "variation", "--config", str(cfg))
+    assert code == 2
+    assert f"error: k_max must be >= 1, got {k_max}" in err and "Traceback" not in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("mode", ["anticommutator", "product", "square-of-sum"])
+def test_sim_mixed_empty_schedule_exit_2(tmp_path, capsys, mode):
+    cfg = write_config(tmp_path, d=4, N=4, alpha=0.25, mode=mode, schedule=[])
+    code, out, err = run(capsys, "sim", "mixed", "--config", str(cfg))
+    assert code == 2
+    assert "schedule must be a nonempty list" in err and "Traceback" not in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
 def test_sim_variation_one_trial_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=1, k=2)
     code, out, err = run(capsys, "sim", "variation", "--config", str(cfg))
@@ -683,13 +701,12 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("atom, named", [
-    (1e60, "the predicted moments overflow"),  # an OverflowError in the exact pipeline
-    (1e40, "report field moments[1].stderr is not finite"),  # inf in the Monte Carlo
-])
-def test_sim_variation_that_overflows_exits_3(tmp_path, capsys, atom, named):
-    cfg = write_config(tmp_path, d=8, N=4, k=2, k_max=3, jump=[[atom, 1.0]])
+@pytest.mark.parametrize("atom, k_max, named", [
+    (1e60, 3, "the predicted moments overflow"),  # an OverflowError in the exact pipeline
+    (1e80, 1, "report field extras.proxy_norms[0] is not finite"),  # inf in the Monte Carlo
+], ids=["exact-pipeline", "monte-carlo"])
+def test_sim_variation_that_overflows_exits_3(tmp_path, capsys, atom, k_max, named):
+    cfg = write_config(tmp_path, d=8, N=4, k=2, k_max=k_max, jump=[[atom, 1.0]])
     out_dir = tmp_path / "run"
     code, _, err = run(capsys, "sim", "variation", "--config", str(cfg), "--out", str(out_dir))
     assert code == 3
@@ -697,7 +714,6 @@ def test_sim_variation_that_overflows_exits_3(tmp_path, capsys, atom, named):
     assert not (out_dir / "variation_k2.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_sim_mixed_that_overflows_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, d=8, N=4, jump=[[1e200, 1.0]])
     code, _, err = run(capsys, "sim", "mixed", "--config", str(cfg))

@@ -79,6 +79,12 @@ def test_config_rejects_a_jump_that_is_not_a_list_of_pairs(jump):
         small_config(jump=jump)
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_config_rejects_a_k_max_below_1(k_max):
+    with pytest.raises(SimError, match=f"^k_max must be >= 1, got {k_max}$"):
+        small_config(k_max=k_max)
+
+
 def test_config_from_json_names_the_missing_keys():
     with pytest.raises(SimError, match="required keys: d, master_seed$"):
         SimConfig.from_json({"trials": 2})
@@ -524,11 +530,13 @@ def test_rmt_does_not_import_the_triple_calculus():
 def test_verify_variation_scales_with_the_jumps(k):
     # the kernel is linear in the jumps and c = 2^j scales every float
     # exactly, so a report on c nu is the report on nu with order n scaled by
-    # c^(kn) and the proxies by c^k; no rule at the origin depends on the scale
+    # c^(kn) and the proxies by c^k; no rule at the origin depends on the scale.
+    # At the last j the squares of the order-4 moments leave the floats, so
+    # the standard errors are taken on scaled columns
     jump = [[0.7, 0.5], [-1.3, 0.5]]
     cfg = dict(d=12, trials=3, N=4, k_max=4)
     base = verify_variation(small_config(jump=jump, **cfg), k)
-    for j in (-40, -17, 0, 13, 40):
+    for j in (-40, -17, 0, 13, 40, {2: 100, 3: 80}[k]):
         c = math.ldexp(1.0, j)
         report = verify_variation(small_config(jump=[[c * x, m] for x, m in jump], **cfg), k)
         for n, (got, want) in enumerate(zip(report.moments, base.moments), 1):
@@ -541,6 +549,24 @@ def test_verify_variation_scales_with_the_jumps(k):
             math.ldexp(m, j * k * n) for n, m in enumerate(base_extras["finite_n_reference"], 1)]
         assert extras["proxy_norms"] == [math.ldexp(p, j * k) for p in base_extras["proxy_norms"]]
         assert report.passed == base.passed
+
+
+@pytest.mark.parametrize("mode", ["anticommutator", "product"])
+def test_mixed_decay_scales_with_the_jumps(mode):
+    # m2 is quartic in the jumps, so on c nu = 2^j nu it scales by c^4, its
+    # reference too, and the z-scores are equal; at j = 130 the squares of
+    # the rows leave the floats
+    jump = [[0.7, 0.5], [-1.3, 0.5]]
+    cfg = dict(d=12, trials=3, N=4)
+    base = mixed_decay(small_config(jump=jump, **cfg), mode, schedule=[2, 4]).extras
+    for j in (-40, 40, 130):
+        c = math.ldexp(1.0, j)
+        extras = mixed_decay(small_config(jump=[[c * x, m] for x, m in jump], **cfg), mode,
+                             schedule=[2, 4]).extras
+        for key in ("m2_by_n", "predicted_m2_by_n"):
+            assert extras[key] == [math.ldexp(m, 4 * j) for m in base[key]], (j, key)
+        assert extras["z_by_n"] == base["z_by_n"] and None not in base["z_by_n"], j
+        assert extras["decay_ratio"] == base["decay_ratio"], j
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -800,10 +826,11 @@ def test_campaign_peak_memory_stays_under_the_guard(campaign):
     assert peak <= MEMORY_GUARD_MIB * 2**20
 
 
-@pytest.mark.parametrize("mode", ["anticommutator", "square-of-sum"])
+@pytest.mark.parametrize("mode", ["anticommutator", "product", "square-of-sum"])
 @pytest.mark.parametrize(
     "schedule, named", [([0, 4], "0"), ([-4, 4], "-4"), ([2.5, 4], "2.5"),
-                        ([True, 4], "True"), ("8", "'8'"), (8, "8")],
+                        ([True, 4], "True"), ("8", "'8'"), (8, "8"),
+                        ([], "[]")],  # empty is not a request for the default
 )
 def test_mixed_decay_rejects_a_schedule_entry_that_is_not_a_positive_int(
     mode, schedule, named
