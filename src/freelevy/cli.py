@@ -32,7 +32,7 @@ from .levy import (
     pair_to_triple,
     variation_triple,
 )
-from .measures import MeasureError, NumericError, _is_real
+from .measures import MeasureError, NumericError, _is_real, dumps
 from .ncsym import (
     NCSymError,
     composition_of,
@@ -95,15 +95,11 @@ class _ManifestWriter:
             "exit_status": exit_status,
             "version": __version__,
         }
-        manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+        manifest_path.write_text(dumps(payload))
 
     def emit(self, path: Path, text: str):
         Path(path).write_text(text)
         self.outputs.append(str(path))
-
-
-def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _flag_numbers(flag: str, text: str, kind) -> list:
@@ -175,7 +171,7 @@ def _read_json(path, manifest):
 
 
 def _write_or_print(data, args, manifest, default_name: str):
-    text = _dump(data)
+    text = dumps(data)
     if args.out:
         target = Path(args.out)
         if target.suffix != ".json":
@@ -194,6 +190,9 @@ _BP_FAMILIES = {
 
 
 def cmd_levy(args, manifest) -> int:
+    for flag, value in (("--lam", args.lam), ("--c", args.c)):
+        if not _is_real(value):
+            raise InputError(f"{flag} must be a finite number, got {value}")
     if args.action != "bp-check" and args.input is None:
         raise InputError(f"levy {args.action} needs --input")
     if args.action == "to-pair":
@@ -231,14 +230,15 @@ def cmd_levy(args, manifest) -> int:
         "sigma_atoms": [[float(x), float(m)] for x, m in (report.sigma_atoms or [])],
         "pair": report.pair().to_json(),
     }
+    text = dumps(summary)  # rendered first, so a failed run writes nothing
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest.emit(out_dir / "bp_check.csv", "\n".join(lines) + "\n")
-        manifest.emit(out_dir / "bp_check.json", _dump(summary))
+        manifest.emit(out_dir / "bp_check.json", text)
     else:
         print("\n".join(lines))
-        print(_dump(summary))
+        print(text)
     return EXIT_OK
 
 
@@ -302,9 +302,9 @@ def cmd_sim(args, manifest) -> int:
         }
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-            manifest.emit(out_dir / "matcauchy.json", _dump(payload))
+            manifest.emit(out_dir / "matcauchy.json", dumps(payload))
         else:
-            print(_dump(payload))
+            print(dumps(payload))
         print(f"matcauchy k={b_mat.shape[0]} d={cfg.d}")
         return EXIT_OK
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import DensityGrid, GridMeasure, NumericError, _is_integer, _is_real
+from .measures import DensityGrid, GridMeasure, NumericError, _floats, _is_integer, _is_real
 
 MERGE_RTOL = 1e-12
 INTEGRABILITY_GUARD = 1e12
@@ -239,45 +239,38 @@ class VariationMap:
 # -- conversions ---------------------------------------------------------------
 
 
+@_floats("the triple's pair overflows")
 def triple_to_pair(t: GeneratingTriple) -> GeneratingPair:
     """(eta, a, rho) -> (gamma, sigma): sigma = a delta_0 + x^2/(1+x^2) rho."""
     atoms, grid = _reweighted(t.rho, _sigma_weight)
-    correction = t.rho.integrate(_tilt)
-    if not np.isfinite(float(correction)):
-        raise LevyError("tilt integral diverged; rho is not a Levy measure")
-    return GeneratingPair(t.eta - correction, GridMeasure([(0, t.a)] + atoms, grid))
+    return GeneratingPair(t.eta - t.rho.integrate(_tilt), GridMeasure([(0, t.a)] + atoms, grid))
 
 
+@_floats("the pair's rho overflows")
 def pair_to_triple(p: GeneratingPair) -> GeneratingTriple:
     """(gamma, sigma) -> (eta, a, rho): a = sigma({0}), rho = (1+x^2)/x^2 sigma.
 
-    Only sigma's atom at exactly 0 goes to a. NumericError where an atom's
-    rho mass leaves the floats (x^2 underflows, or m / x^2 overflows)."""
+    Only sigma's atom at exactly 0 goes to a. A rho mass that leaves the floats
+    (x^2 under- or overflows) is a NumericError before LevyMeasure's guard reads it."""
     a = sum((m for x, m in p.sigma.atoms if x == 0), start=0)
     off_atoms = [(x, m) for x, m in p.sigma.atoms if x != 0]
-    try:
-        atoms, grid = _reweighted(GridMeasure(off_atoms, p.sigma.grid), _rho_weight)
-        if math.inf in (m for _, m in atoms):
-            raise OverflowError
-    except (ZeroDivisionError, OverflowError):
-        raise NumericError("the pair's rho overflows the floats at an atom near 0") from None
+    atoms, grid = _reweighted(GridMeasure(off_atoms, p.sigma.grid), _rho_weight)
+    if not (all(math.isfinite(m) for _, m in atoms)
+            and (grid is None or np.isfinite(grid.values).all())):
+        raise OverflowError("a mass is not finite")
     rho = LevyMeasure(atoms, grid)
     return GeneratingTriple(p.gamma + rho.integrate(_tilt), a, rho)
 
 
+@_floats("the cumulants of the triple overflow")
 def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
     """kappa_1 = eta + int_{|x|>1} x, kappa_2 = a + int x^2, kappa_m = int x^m."""
     if n < 1:
         raise LevyError(f"cumulant order n must be >= 1, got {n}")
-    try:
-        out = [t.eta + t.rho.integrate(_tail_x)]
-        if n > 1:
-            moments = t.rho.moments(n)
-            out += [t.a + moments[1], *moments[2:]]
-    except OverflowError as exc:
-        raise NumericError(f"the cumulants of the triple overflow the floats: {exc}") from None
-    if not all(math.isfinite(k) for k in out if isinstance(k, float)):
-        raise NumericError("the cumulants of the triple overflow the floats: a grid moment")
+    out = [t.eta + t.rho.integrate(_tail_x)]
+    if n > 1:
+        moments = t.rho.moments(n)
+        out += [t.a + moments[1], *moments[2:]]
     return out
 
 
@@ -385,6 +378,7 @@ def _deposit(n_cells, lo, h, a, b, mass):
     return node_mass
 
 
+@_floats("the variation triple overflows")
 def variation_triple(t: GeneratingTriple, vm: VariationMap) -> GeneratingTriple:
     """Generating triple of the p-variation process.
 
@@ -401,14 +395,8 @@ def variation_triple(t: GeneratingTriple, vm: VariationMap) -> GeneratingTriple:
         size = abs(px)
         return _where((0 < size) & (size <= 1), px, 0) - b * _truncated_x(x)
 
-    try:
-        integral = t.rho.integrate(compensator)
-        if not np.isfinite(float(integral)):
-            raise LevyError("compensator integral diverged")
-        eta_p = b * t.eta + t.a * c + integral
-        return GeneratingTriple(eta_p, t.a * b * b, pushforward_levy(t.rho, vm))
-    except OverflowError as exc:
-        raise NumericError(f"the variation triple overflows the floats: {exc}") from None
+    eta_p = b * t.eta + t.a * c + t.rho.integrate(compensator)
+    return GeneratingTriple(eta_p, t.a * b * b, pushforward_levy(t.rho, vm))
 
 
 # -- limit-condition checker -------------------------------------------------------
@@ -519,6 +507,8 @@ def bernoulli_family(lam):
 
 def shifted_atom_family(c):
     """N -> delta_(c/N), the pure-drift family."""
+    if not _is_real(c):
+        raise LevyError(f"c must be a finite real number, got {c!r}")
 
     def family(n):
         return GridMeasure([(Fraction(c) / n if isinstance(c, int) else c / n, 1)])

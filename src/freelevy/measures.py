@@ -20,6 +20,8 @@ with "grid" null for purely atomic measures.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -37,6 +39,37 @@ class MeasureError(ValueError):
 class NumericError(ArithmeticError):
     """Valid input whose numbers left the floats; the message names the stage
     that overflowed or the output field that is not finite."""
+
+
+@contextlib.contextmanager
+def _floats(what: str):
+    """Run a stage (or, as a decorator, a function) with numpy's float warnings
+    off; an OverflowError or ZeroDivisionError inside is a NumericError naming `what`."""
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NumericError(f"{what} the floats: {exc}") from None
+
+
+def _non_finite_field(value, path: str = "") -> str | None:
+    """The path of the first non-finite float in a JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = ()
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    return next(filter(None, (_non_finite_field(item, sub) for sub, item in items)), None)
+
+
+def dumps(payload) -> str:
+    """Strict JSON of every output; a NumericError names the first non-finite field."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"report field {_non_finite_field(payload)} is not finite") from None
 
 
 def _is_integer(value) -> bool:

@@ -16,7 +16,6 @@ bit-identical streams and reports.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
-from .measures import NumericError, _exact_atom_moments, _is_integer, _is_real, _is_real_pairs
+from .measures import _exact_atom_moments, _floats, _is_integer, _is_real, _is_real_pairs, dumps
 from .ncsym import stochastic_integral_poly
 
 HERMITIAN_TOL = 1e-10
@@ -362,13 +361,7 @@ class SimReport:
         }
 
     def dumps(self) -> str:
-        payload = self.to_json()
-        try:
-            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError:
-            raise NumericError(
-                f"report field {_non_finite_field(payload)} is not finite"
-            ) from None
+        return dumps(self.to_json())
 
     def summary(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -386,19 +379,6 @@ class SimReport:
             parts.append(f"decay={self.extras['decay_ratio']:.3f}")
         parts.append(f"n={self.config.get('N', '-')}")
         return " ".join(parts)
-
-
-def _non_finite_field(value, path: str = "") -> str | None:
-    """The path of the first non-finite float in a JSON value, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
-    elif isinstance(value, list):
-        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
-    else:
-        return None
-    return next(filter(None, (_non_finite_field(item, sub) for sub, item in items)), None)
 
 
 def _histogram(values) -> dict:
@@ -433,11 +413,9 @@ def _run_trials(fn, trials: int, threads: int):
 
 
 def _rounded(values, what: str) -> list:
-    """The exact `values` rounded once, or a NumericError that begins with `what`."""
-    try:
+    """The exact `values` rounded once; `_floats(what)` reports an overflow."""
+    with _floats(what):
         return [float(v) for v in values]
-    except OverflowError as exc:
-        raise NumericError(f"{what} the floats: {exc}") from None
 
 
 def _step_cumulants(config: SimConfig, n: int, orders: int) -> list:
@@ -623,6 +601,7 @@ def verify_integral_identity(config: SimConfig, k: int = 2, threads: int = 1) ->
     )
 
 
+@_floats("the counterexample's quadratic sums leave")
 def counterexample_rows(alpha: float, ns, t: float = 1.0) -> list:
     """Quadratic sums of the infinitesimal-but-divergent scalar array.
 
@@ -634,9 +613,7 @@ def counterexample_rows(alpha: float, ns, t: float = 1.0) -> list:
     for n in ns:
         m = int(2 * n * t)
         sign_sum = -1 if m % 2 else 0
-        value = (
-            m / n**2 + 2.0 * sign_sum / (n * n**alpha) + m / n ** (2 * alpha)
-        )
+        value = m / n**2 + 2.0 * sign_sum / (n * n**alpha) + m / n ** (2 * alpha)
         reference = 2.0 * t * n ** (1.0 - 2.0 * alpha)
         rows.append(
             {

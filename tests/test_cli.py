@@ -227,23 +227,72 @@ FAR_ATOM = {"atoms": [[1e100, 1]]}
 FAR_GRID = {"atoms": [], "grid": {"lo": 1e100, "hi": 2e100, "h": 1e99, "values": [1e-100] * 11}}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def far_grid(lo):
+    """A grid on [lo, 2 lo] of total mass about 1."""
+    return {"atoms": [], "grid": {"lo": lo, "hi": 2 * lo, "h": lo / 10, "values": [1 / lo] * 11}}
+
+
 @pytest.mark.parametrize("rho, action, flags, named", [
     # x^4 in the atom moments, and p(x) in the compensator
     (FAR_ATOM, "cumulants", ["--n", "6"], "the cumulants of the triple overflow"),
     (FAR_ATOM, "variation", ["--p", "pow:4"], "the variation triple overflows"),
     # on a grid the same powers give inf, in the moments and in p's image
-    (FAR_GRID, "cumulants", ["--n", "6"], "the cumulants of the triple overflow"),
+    (FAR_GRID, "cumulants", ["--n", "6"], "report field cumulants[3] is not finite"),
     (FAR_GRID, "variation", ["--p", "pow:4"], "the image of rho's density under p leaves"),
-], ids=["atom-cumulants", "atom-variation", "grid-cumulants", "grid-variation"])
+    # the tilt's x^3 on an atom; rho's (1 + x^2) / x^2 is NaN once x^2 overflows
+    ({"atoms": [[1e120, 1.0]]}, "to-pair", [], "the triple's pair overflows"),
+    ({"atoms": [[1e120, 1.0]]}, "to-triple", [], "the pair's rho overflows"),
+    ({"atoms": [[1e200, 1.0]]}, "to-triple", [], "the pair's rho overflows"),
+    (far_grid(1e200), "to-pair", [], "report field sigma.grid.values[0] is not finite"),
+    (far_grid(1e200), "to-triple", [], "the pair's rho overflows"),
+], ids=["atom-cumulants", "atom-variation", "grid-cumulants", "grid-variation",
+        "atom-to-pair", "atom-to-triple", "far-atom-to-triple", "far-grid-to-pair",
+        "far-grid-to-triple"])
 def test_levy_that_overflows_exits_3(tmp_path, capsys, rho, action, flags, named):
     path = tmp_path / "triple.json"
-    path.write_text(json.dumps({"eta": 0, "a": 0, "rho": rho}))
+    data = {"gamma": 0, "sigma": rho} if action == "to-triple" else {"eta": 0, "a": 0, "rho": rho}
+    path.write_text(json.dumps(data))
     target = tmp_path / "out.json"
     code, _, err = run(capsys, "levy", action, "--input", str(path), *flags, "--out", str(target))
     assert code == 3
     assert f"numeric failure: {named}" in err and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("action, data", [
+    ("to-pair", {"eta": 0.0, "a": 0.0, "rho": far_grid(1e120)}),
+    ("to-triple", {"gamma": 0.0, "sigma": far_grid(1e120)}),
+])
+def test_levy_whose_unused_branch_overflows_is_quiet(tmp_path, capsys, action, data):
+    # the tilt's x^3 overflows on every node but is not the branch taken there;
+    # under the suite's warnings-as-errors a RuntimeWarning would fail the run
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "levy", action, "--input", str(path))
+    assert code == 0 and err == ""
+    assert all(math.isfinite(v) for v in json.loads(out)["sigma" if action == "to-pair" else "rho"]
+               ["grid"]["values"])
+
+
+def test_levy_bp_check_that_overflows_writes_nothing(tmp_path, capsys):
+    # sigma_N's mass N x^2 / (1 + x^2) is inf / inf at x = 1e159
+    out_dir = tmp_path / "bp"
+    code, _, err = run(capsys, "levy", "bp-check", "--family", "drift", "--c", "1e160",
+                       "--ns", "10,100", "--out", str(out_dir))
+    assert code == 3
+    assert "numeric failure: report field sigma_mass is not finite" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "bp_check.csv").exists() and not (out_dir / "bp_check.json").exists()
+
+
+def test_levy_rejects_a_lam_that_is_not_finite_before_writing(tmp_path, capsys):
+    path = write_triple(tmp_path, 1.0, 0.0, [[1.0, 1.0]])
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "levy", "to-pair", "--input", str(path),
+                       "--out", str(out_dir / "pair.json"), "--lam", "nan")
+    assert code == 2
+    assert err.startswith("error: --lam must be a finite number")
+    assert not out_dir.exists()
 
 
 def test_a_bare_overflow_error_is_still_internal(tmp_path, capsys, monkeypatch):
@@ -616,6 +665,8 @@ _CONFIG = {"d": 4, "trials": 2, "master_seed": 5, "N": 4, "t": 1.0, "lam": 1.0,
                     id=f"ns-0-{family}") for family in ("bernoulli", "drift", "symmetric")],
      *[pytest.param(["levy", "bp-check", "--lam", lam], None, "lam ", id=f"lam-{lam}")
        for lam in ("nan", "inf")],
+     *[pytest.param(["levy", "bp-check", "--family", "drift", "--c", c], None, "--c ",
+                    id=f"c-{c}") for c in ("nan", "inf")],
      pytest.param(["ncsym", "distinct", "--composition", "2,x"], None, "--composition",
                   id="composition-not-int"),
      pytest.param(["ncsym", "distinct", "--k", "2", "--verify", "--letters", "0"], None,
@@ -719,3 +770,16 @@ def test_sim_mixed_that_overflows_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "sim", "mixed", "--config", str(cfg))
     assert code == 3
     assert "numeric failure: the predicted m2 overflows" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha, n, named", [
+    (1e300, 2, "(34, 'Numerical result out of range')"),  # 2 ** 1e300
+    (-1000, 10, "float division by zero"),  # 10 ** -2000.0 is 0.0
+], ids=["overflow", "underflow"])
+def test_sim_square_of_sum_that_overflows_exits_3(tmp_path, capsys, alpha, n, named):
+    cfg = write_config(tmp_path, alpha=alpha, mode="square-of-sum", schedule=[n])
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "sim", "mixed", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 3
+    assert err == f"numeric failure: the counterexample's quadratic sums leave the floats: {named}\n"
+    assert not (out_dir / "mixed_square_of_sum.json").exists()

@@ -23,7 +23,14 @@ from freelevy.levy import (
     triple_to_pair,
     variation_triple,
 )
-from freelevy.measures import DensityGrid, GridMeasure, MeasureError, point_mass, two_point
+from freelevy.measures import (
+    DensityGrid,
+    GridMeasure,
+    MeasureError,
+    NumericError,
+    point_mass,
+    two_point,
+)
 
 
 def atomic(pairs):
@@ -108,6 +115,12 @@ def test_pair_to_triple_inverse():
     assert t.eta == lam
     assert t.a == 0
     assert t.rho.atoms == [(1, lam)]
+
+
+def test_triple_to_pair_that_overflows_raises_numeric_error():
+    # the tilt's x^3 leaves the floats at an atom of 1e120; the stage names itself
+    with pytest.raises(NumericError, match="^the triple's pair overflows the floats: "):
+        triple_to_pair(triple(0.0, 0.0, [(1e120, 1.0)]))
 
 
 def test_roundtrip_random_atomic_triples():
@@ -487,11 +500,15 @@ def test_bp_check_rejects_scales_that_are_not_positive_ints(family, ns):
         bp_limit_check(family, ns)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, "1", True])
-def test_bernoulli_family_rejects_a_rate_that_is_not_finite(lam):
+@pytest.mark.parametrize("family, name, lam", [
+    *[pytest.param(bernoulli_family, "lam", lam, id=str(lam))
+      for lam in (math.nan, math.inf, "1", True)],
+    *[pytest.param(shifted_atom_family, "c", c, id=f"drift-{c}") for c in (math.nan, math.inf)],
+])
+def test_bernoulli_family_rejects_a_rate_that_is_not_finite(family, name, lam):
     # nan and inf have no exact Fraction, which the masses are built from
-    with pytest.raises(LevyError, match="^lam must be a finite real number"):
-        bernoulli_family(lam)
+    with pytest.raises(LevyError, match=f"^{name} must be a finite real number"):
+        family(lam)
 
 
 # -- serialization -----------------------------------------------------------------
