@@ -44,9 +44,9 @@ def _where(cond, yes, no):
     """yes where cond holds, else no: elementwise on grid arrays, plain on atoms.
 
     The one place that tells an exact scalar from a grid array, so every
-    integrand below is written once. On arrays both branches are evaluated,
-    so each must stay finite on every grid node.
-    """
+    integrand below is written once. Both branches are evaluated: on the grid
+    an unused one may overflow quietly (inside a `_floats` stage), but a float
+    power that overflows on an atom raises even where its branch is unused."""
     if hasattr(cond, "shape"):
         return np.where(cond, yes, no)
     return yes if cond else no

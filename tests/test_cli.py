@@ -259,19 +259,18 @@ def test_levy_that_overflows_exits_3(tmp_path, capsys, rho, action, flags, named
     assert not target.exists()
 
 
-@pytest.mark.parametrize("action, data", [
-    ("to-pair", {"eta": 0.0, "a": 0.0, "rho": far_grid(1e120)}),
-    ("to-triple", {"gamma": 0.0, "sigma": far_grid(1e120)}),
-])
-def test_levy_whose_unused_branch_overflows_is_quiet(tmp_path, capsys, action, data):
+@pytest.mark.parametrize("action, data, measure", [
+    ("to-pair", {"eta": 0.0, "a": 0.0, "rho": far_grid(1e120)}, "sigma"),
+    ("to-triple", {"gamma": 0.0, "sigma": far_grid(1e120)}, "rho"),
+], ids=["to-pair", "to-triple"])
+def test_levy_whose_unused_branch_overflows_is_quiet(tmp_path, capsys, action, data, measure):
     # the tilt's x^3 overflows on every node but is not the branch taken there;
     # under the suite's warnings-as-errors a RuntimeWarning would fail the run
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "levy", action, "--input", str(path))
     assert code == 0 and err == ""
-    assert all(math.isfinite(v) for v in json.loads(out)["sigma" if action == "to-pair" else "rho"]
-               ["grid"]["values"])
+    assert all(math.isfinite(v) for v in json.loads(out)[measure]["grid"]["values"])
 
 
 def test_levy_bp_check_that_overflows_writes_nothing(tmp_path, capsys):
@@ -772,14 +771,14 @@ def test_sim_mixed_that_overflows_exits_3(tmp_path, capsys):
     assert "numeric failure: the predicted m2 overflows" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("alpha, n, named", [
-    (1e300, 2, "(34, 'Numerical result out of range')"),  # 2 ** 1e300
-    (-1000, 10, "float division by zero"),  # 10 ** -2000.0 is 0.0
+@pytest.mark.parametrize("alpha, n", [
+    (1e300, 2),  # 2 ** 1e300 raises OverflowError
+    (-1000, 10),  # 10 ** -2000.0 is 0.0, and a division by it raises ZeroDivisionError
 ], ids=["overflow", "underflow"])
-def test_sim_square_of_sum_that_overflows_exits_3(tmp_path, capsys, alpha, n, named):
+def test_sim_square_of_sum_that_overflows_exits_3(tmp_path, capsys, alpha, n):
     cfg = write_config(tmp_path, alpha=alpha, mode="square-of-sum", schedule=[n])
     out_dir = tmp_path / "run"
     code, _, err = run(capsys, "sim", "mixed", "--config", str(cfg), "--out", str(out_dir))
     assert code == 3
-    assert err == f"numeric failure: the counterexample's quadratic sums leave the floats: {named}\n"
-    assert not (out_dir / "mixed_square_of_sum.json").exists()
+    assert err.startswith("numeric failure: the counterexample's quadratic sums leave the floats: ")
+    assert "Traceback" not in err and not (out_dir / "mixed_square_of_sum.json").exists()

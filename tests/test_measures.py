@@ -1,10 +1,8 @@
-import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from freelevy.measures import DensityGrid, GridMeasure, NumericError, dumps
+from freelevy.measures import DensityGrid, GridMeasure
 
 
 def _grid():
@@ -36,9 +34,3 @@ def test_moments_equal_moment_by_value_and_type():
             assert [type(v) for v in got] == [type(v) for v in want], (name, grid is not None)
             if grid is not None or name.startswith(("float", "numpy", "bool")):
                 assert repr(got) == repr(want), name
-
-
-def test_dumps_names_the_first_field_that_is_not_finite():
-    assert dumps({"b": [1.0], "a": 2}) == '{\n  "a": 2,\n  "b": [\n    1.0\n  ]\n}'
-    with pytest.raises(NumericError, match=r"^report field rows\[1\]\.x is not finite$"):
-        dumps({"rows": [{"x": 1.0}, {"x": math.nan}], "z": math.inf})
