@@ -21,7 +21,8 @@ more than the bound; else `unresolved` when the base's spread,
 (Q3 - Q1) / median, exceeds the bound, unless every change run beats every
 base run; else `held`.
 The last lines give each side's runs that were not correct and its failed
-share of operations. --seconds defaults to the benchmark's `run_seconds`.
+share of operations. Values print to 4 significant digits, so a sub-millisecond
+gap stays readable. --seconds defaults to the benchmark's `run_seconds`.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def main(argv=None) -> int:
         for side, checkout in order if i % 2 == 0 else order[::-1]:
             runs[side].append(run_once(checkout, args.workload, seed, seconds)[0])
         values = ", ".join(
-            f"{m['name']} {runs['base'][-1]['metrics'][m['name']]['value']:.4f}"
-            f"/{runs['change'][-1]['metrics'][m['name']]['value']:.4f}"
+            f"{m['name']} {runs['base'][-1]['metrics'][m['name']]['value']:#.4g}"
+            f"/{runs['change'][-1]['metrics'][m['name']]['value']:#.4g}"
             for m in bench["end_to_end"]
         )
         print(f"pair {i + 1} seed {seed} (base/change): {values}", flush=True)
@@ -110,8 +111,8 @@ def main(argv=None) -> int:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         row = compare(values["base"], values["change"], metric["better"], metric["bound"])
-        print(f"{name:<14}{row['base_median']:>13.4f}{row['change_median']:>15.4f}"
-              f"{row['base_iqr']:>11.4f}{row['gap']:>11.4f}{row['rel_gap']:>+9.3f}"
+        print(f"{name:<14}{row['base_median']:>#13.4g}{row['change_median']:>#15.4g}"
+              f"{row['base_iqr']:>#11.4g}{row['gap']:>#11.4g}{row['rel_gap']:>+9.3f}"
               f"{metric['bound']:>7.2f}{row['wins']:>5}/{args.pairs:<2}"
               f"  {'yes' if row['claimable'] else 'no':<9}  {row['verdict']}")
     for side in runs:

@@ -74,19 +74,30 @@ def _convert(values, to_cumulants: bool) -> list:
     """Run `_recursion` on integers when every value is an int or Fraction
     (the rescaling and the output types are in the module docstring)."""
     _check_length(len(values))
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    if not _exact(values):
         return _recursion(values, to_cumulants)
+    scaled, c, first = _scaled(values)
+    out, scale = [], 1
+    for n, r in enumerate(_recursion(scaled, to_cumulants), 1):
+        scale *= c
+        out.append(Fraction(r, scale) if n > first else r // scale)
+    return out
+
+
+def _exact(values) -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _scaled(values) -> tuple:
+    """The ints c^n v_n of exact values v_1, v_2, ..., the factor c of
+    `_dilation` and the index of the first Fraction (len(values) if none)."""
     c = _dilation(values)
     first = next((i for i, v in enumerate(values) if isinstance(v, Fraction)), len(values))
     scaled, scale = [], 1
     for v in values:
         scale *= c
         scaled.append(v.numerator * (scale // v.denominator))
-    out, scale = [], 1
-    for n, r in enumerate(_recursion(scaled, to_cumulants), 1):
-        scale *= c
-        out.append(Fraction(r, scale) if n > first else r // scale)
-    return out
+    return scaled, c, first
 
 
 def _dilation(values) -> int:
@@ -203,26 +214,48 @@ def free_joint_functional(moments_by_label):
     non-crossing partition leaves the gap it starts in. Only label-constant
     partitions are formed. Raises CumulantError when a label occurs in the
     word more often than it has cumulants.
+
+    When every moment of every label is an int or a Fraction, the sum runs
+    on integers: label l's moments are scaled by its own c_l as in the
+    conversions, and tau(w) is divided once by the product of
+    c_l^(count of l in w), since each term has degree count_l(w) in label
+    l's dilation. tau(w) is a Fraction when, for some label l, one of its
+    first count_l(w) moments is, and an int otherwise. A float in any label
+    runs the sum on the values as given.
     """
-    return _FreeJoint(
-        {label: moments_to_cumulants(m) for label, m in moments_by_label.items()}
-    )
+    laws = {label: list(m) for label, m in moments_by_label.items()}
+    if not all(_exact(m) for m in laws.values()):
+        return _FreeJoint({label: moments_to_cumulants(m) for label, m in laws.items()})
+    cumulants, scales = {}, {}
+    for label, m in laws.items():
+        _check_length(len(m))
+        scaled, c, first = _scaled(m)
+        cumulants[label], scales[label] = _recursion(scaled, True), (c, first)
+    return _FreeJoint(cumulants, scales)
 
 
 class _FreeJoint:
-    """The tau of `free_joint_functional`: per-label cumulants and memo dicts
-    held by the instance, so no reference cycle outlives a call."""
+    """The tau of `free_joint_functional`: per-label cumulants (scaled to
+    integers when `scales` gives each label's (c, first Fraction index)) and
+    memo dicts held by the instance, so no reference cycle outlives a call."""
 
-    def __init__(self, cumulants):
-        self.cumulants, self.joints, self.blocks = cumulants, {}, {}
+    def __init__(self, cumulants, scales=None):
+        self.cumulants, self.scales, self.joints, self.blocks = cumulants, scales, {}, {}
 
     def __call__(self, word):
         word = tuple(word)
-        for label in set(word):
-            count = word.count(label)
+        counts = {label: word.count(label) for label in dict.fromkeys(word)}
+        for label, count in counts.items():
             if count > len(self.cumulants.get(label, ())):
                 raise CumulantError(f"cumulant of order {count} required for {label!r}")
-        return self.joint(word)
+        value = self.joint(word)
+        if self.scales is None:
+            return value
+        den, fraction = 1, False
+        for label, count in counts.items():
+            c, first = self.scales[label]
+            den, fraction = den * c**count, fraction or count > first
+        return Fraction(value, den) if fraction else value // den
 
     def joint(self, word):
         if word not in self.joints:

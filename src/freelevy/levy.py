@@ -44,9 +44,11 @@ def _where(cond, yes, no):
     """yes where cond holds, else no: elementwise on grid arrays, plain on atoms.
 
     The one place that tells an exact scalar from a grid array, so every
-    integrand below is written once. Both branches are evaluated: on the grid
-    an unused one may overflow quietly (inside a `_floats` stage), but a float
-    power that overflows on an atom raises even where its branch is unused."""
+    integrand below is written once. Both branches are evaluated, and a float
+    power that overflows on an atom raises even where its branch is unused,
+    so an integrand keeps each branch finite where it is not taken (`_tilt`
+    cubes the truncated x); on the grid an unused branch may still overflow
+    quietly inside a `_floats` stage."""
     if hasattr(cond, "shape"):
         return np.where(cond, yes, no)
     return yes if cond else no
@@ -95,7 +97,7 @@ def _tilt(x):
     """x^3 / (1 + x^2) on [-1, 1], -x / (1 + x^2) outside: gamma = eta - int tilt drho."""
     x = _exact(x)
     den = 1 + x * x
-    return _where(abs(x) <= 1, x**3 / den, -x / den)
+    return _where(abs(x) <= 1, _truncated_x(x) ** 3, -x) / den
 
 
 def _reweighted(mu: GridMeasure, f):
@@ -137,7 +139,8 @@ class LevyMeasure(GridMeasure):
         if self.grid is not None:
             bound += self.grid.mass()
         if not bound <= INTEGRABILITY_GUARD / 2:
-            guard = self.integrate(_min_1_x2)
+            with _floats("the integral of min(1, x^2) overflows"):
+                guard = self.integrate(_min_1_x2)
             if not (float(guard) <= INTEGRABILITY_GUARD):
                 raise LevyError(
                     f"integral of min(1, x^2) = {guard} exceeds the {INTEGRABILITY_GUARD} guard"

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -239,15 +240,12 @@ def far_grid(lo):
     # on a grid the same powers give inf, in the moments and in p's image
     (FAR_GRID, "cumulants", ["--n", "6"], "report field cumulants[3] is not finite"),
     (FAR_GRID, "variation", ["--p", "pow:4"], "the image of rho's density under p leaves"),
-    # the tilt's x^3 on an atom; rho's (1 + x^2) / x^2 is NaN once x^2 overflows
-    ({"atoms": [[1e120, 1.0]]}, "to-pair", [], "the triple's pair overflows"),
-    ({"atoms": [[1e120, 1.0]]}, "to-triple", [], "the pair's rho overflows"),
+    # rho's (1 + x^2) / x^2 is NaN once x^2 overflows
     ({"atoms": [[1e200, 1.0]]}, "to-triple", [], "the pair's rho overflows"),
     (far_grid(1e200), "to-pair", [], "report field sigma.grid.values[0] is not finite"),
     (far_grid(1e200), "to-triple", [], "the pair's rho overflows"),
 ], ids=["atom-cumulants", "atom-variation", "grid-cumulants", "grid-variation",
-        "atom-to-pair", "atom-to-triple", "far-atom-to-triple", "far-grid-to-pair",
-        "far-grid-to-triple"])
+        "far-atom-to-triple", "far-grid-to-pair", "far-grid-to-triple"])
 def test_levy_that_overflows_exits_3(tmp_path, capsys, rho, action, flags, named):
     path = tmp_path / "triple.json"
     data = {"gamma": 0, "sigma": rho} if action == "to-triple" else {"eta": 0, "a": 0, "rho": rho}
@@ -271,6 +269,36 @@ def test_levy_whose_unused_branch_overflows_is_quiet(tmp_path, capsys, action, d
     code, out, err = run(capsys, "levy", action, "--input", str(path))
     assert code == 0 and err == ""
     assert all(math.isfinite(v) for v in json.loads(out)[measure]["grid"]["values"])
+
+
+@pytest.mark.parametrize("action, data, key, want", [
+    ("to-pair", {"eta": 0, "a": 0, "rho": {"atoms": [[1e120, 1.0]]}}, "gamma", 1e-120),
+    ("to-triple", {"gamma": 0, "sigma": {"atoms": [[1e120, 1.0]]}}, "eta", -1e-120),
+], ids=["to-pair", "to-triple"])
+def test_levy_whose_unused_branch_overflows_on_an_atom_is_quiet(
+        tmp_path, capsys, action, data, key, want):
+    # x^3 of an atom at 1e120 overflows, but outside [-1, 1] the tilt is
+    # -x / (1 + x^2) = -1e-120, so gamma = eta + 1e-120 and nothing is cubed
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "levy", action, "--input", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)[key] == want
+
+
+def test_levy_measure_guard_on_a_far_grid_is_quiet(tmp_path, capsys):
+    # the mass, about 1e12, sends LevyMeasure to its min(1, x^2) integral,
+    # whose x^2 overflows on every node without a warning; the cumulant
+    # a + int x^2 is then inf, and the report names it
+    rho = {"atoms": [], "grid": {"lo": 1e200, "hi": 2e200, "h": 5e199, "values": [1e-188] * 3}}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"eta": 0, "a": 0, "rho": rho}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "levy", "cumulants", "--input", str(path), "--n", "2")
+    assert [str(w.message) for w in caught] == []
+    assert code == 3
+    assert err == "numeric failure: report field cumulants[1] is not finite\n"
 
 
 def test_levy_bp_check_that_overflows_writes_nothing(tmp_path, capsys):

@@ -243,6 +243,14 @@ def test_exact_conversions_do_linear_fraction_arithmetic(monkeypatch):
         calls[:] = []
         convert(values)
         assert len(calls) <= len(values), (convert.__name__, len(calls))
+    # the joint functional scales each label once: one Fraction per output
+    from freelevy.transforms import free_multiply_moments
+
+    ma = [Fraction(n, n + 2) for n in range(1, 13)]
+    mb = [Fraction(-n * n, 7) for n in range(1, 13)]
+    calls[:] = []
+    free_multiply_moments(ma, mb, 12)
+    assert len(calls) <= 12, len(calls)
 
 
 def test_output_types():
@@ -357,6 +365,65 @@ def test_free_joint_functional_matches_the_nc_filter_sum(kind, monkeypatch):
                 assert abs(got - want) <= 1e-12 * max(1.0, scale), (word, got, want)
             else:
                 assert got == want and type(got) is type(want), (word, got, want)
+
+
+# one label of ints, the others with their first Fraction at indices 0, 3
+# and 5, zeros, negatives and a Fraction with denominator 1
+MIXED_LAWS = {
+    "a": [2, -1, 0, 5, 3, -7, 1],
+    "b": [Fraction(1, 3), 2, Fraction(-5, 4), 0, 1, Fraction(7, 9), -2],
+    "c": [0, -3, 1, Fraction(2, 5), Fraction(-1, 6), 4, 0],
+    "d": [1, 0, -2, 4, -1, Fraction(4), Fraction(1, 2)],
+}
+
+
+def joint_type(laws, word):
+    """Fraction when, for some label, one of its first count(label) moments is."""
+    exact = all(type(v) is int for label in set(word) for v in laws[label][: word.count(label)])
+    return int if exact else Fraction
+
+
+def test_free_joint_functional_on_mixed_exact_inputs_matches_the_nc_filter_sum(monkeypatch):
+    no_nc_listing(monkeypatch)
+    cumulants = {label: moments_to_cumulants(m) for label, m in MIXED_LAWS.items()}
+    tau = free_joint_functional(MIXED_LAWS)
+    rng = random.Random(27)
+    words = [word for n in range(1, 6) for word in itertools.product("abcd", repeat=n)]
+    words += [tuple(rng.choice("abcd") for _ in range(rng.randint(6, 9))) for _ in range(40)]
+    for word in words:
+        got, want = tau(word), joint_moment_oracle(cumulants, word)
+        assert got == want and type(got) is joint_type(MIXED_LAWS, word), (word, got, want)
+
+
+def test_free_joint_functional_pins_float_and_mixed_reprs():
+    # a float in any label sums the values as given, exact labels included
+    cases = [
+        ({"a": [0.5, -1.25, 2.0], "b": [1.5, 0.25, -0.75]}, ["ab", "aabb", "abab", "bab"],
+         ["0.75", "-0.3125", "-3.3125", "0.125"]),
+        ({"a": [Fraction(1, 3), 2, Fraction(-5, 4)], "b": [0.5, -1.0, 0.125]},
+         ["a", "aa", "ab", "abab", "aab"],
+         ["Fraction(1, 3)", "Fraction(2, 1)", "0.16666666666666666", "0.3611111111111111", "1.0"]),
+        ({"a": [1, Fraction(1, 2), 0.25], "b": [2, -3, 0]}, ["a", "aa", "aaa", "bb", "abab", "aabb"],
+         ["1", "Fraction(1, 2)", "0.25", "-3", "Fraction(-5, 1)", "Fraction(-3, 2)"]),
+    ]
+    for laws, words, want in cases:
+        tau = free_joint_functional(laws)
+        assert [repr(tau(word)) for word in words] == want, laws
+    from freelevy.transforms import free_multiply_moments
+
+    assert repr(free_multiply_moments([0.5, Fraction(1, 3), 2], [1, -0.25, Fraction(3, 2)], 3)) == (
+        "[0.5, 0.020833333333333315, 1.9062499999999998]")
+
+
+@pytest.mark.parametrize("c", [Fraction(2, 3), Fraction(-5, 2), 3, Fraction(1, 7)])
+def test_free_joint_functional_dilation(c):
+    # a -> c a multiplies m_j(a) by c^j, and tau(w) by c^count_a(w)
+    laws = {label: MIXED_LAWS[label][:5] for label in "abc"}
+    tau = free_joint_functional(laws)
+    dilated = free_joint_functional({**laws, "a": [c**j * m for j, m in enumerate(laws["a"], 1)]})
+    for n in range(1, 6):
+        for word in itertools.product("abc", repeat=n):
+            assert dilated(word) == c ** word.count("a") * tau(word), word
 
 
 def test_free_joint_functional_needs_a_cumulant_per_occurrence():

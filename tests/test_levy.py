@@ -118,9 +118,16 @@ def test_pair_to_triple_inverse():
 
 
 def test_triple_to_pair_that_overflows_raises_numeric_error():
-    # the tilt's x^3 leaves the floats at an atom of 1e120; the stage names itself
+    # an exact eta of 10^400 less a float tilt integral leaves the floats; the
+    # stage names itself
     with pytest.raises(NumericError, match="^the triple's pair overflows the floats: "):
-        triple_to_pair(triple(0.0, 0.0, [(1e120, 1.0)]))
+        triple_to_pair(triple(10**400, 0.0, [(2.0, 1.0)]))
+
+
+def test_far_atom_tilts_without_cubing():
+    # x^3 of an atom at 1e120 would overflow, but its tilt is -x / (1 + x^2)
+    assert triple_to_pair(triple(0.0, 0.0, [(1e120, 1.0)])).gamma == 1e-120
+    assert pair_to_triple(GeneratingPair(0.0, point_mass(1e120))).eta == -1e-120
 
 
 def test_roundtrip_random_atomic_triples():

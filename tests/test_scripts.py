@@ -127,6 +127,11 @@ def test_bench_pairs_prints_medians_spread_and_wins():
         assert math.isfinite(float(rel_gap)) and float(bound) == bounds[name]
         assert wins in ("0/2", "1/2", "2/2") and claimable in ("yes", "no")
         assert verdict in ("held", "unresolved", "regressed")
+    # exact-cold's round takes milliseconds: its medians keep 3 significant digits
+    wall = next(r for r in rows if r[0] == "wall_s")
+    for median in wall[1:3]:
+        digits = median.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0")
+        assert len(digits) >= 3, median
     assert lines[-2:] == [
         "base: 0 of 2 runs not correct, failed share 0/" + lines[-2].rsplit("/", 1)[1],
         "change: 0 of 2 runs not correct, failed share 0/" + lines[-1].rsplit("/", 1)[1],
