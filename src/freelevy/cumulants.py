@@ -23,10 +23,14 @@ values as given.
 
 Mixed cumulants of words and joint moments of free variables recurse on
 the block of the first letter, with no bound on the word length; the joint
-moments form only label-constant partitions. transforms.py builds its free
-sum on the conversions and its free product on the joint moments.
-Everything is exact when fed ints or fractions.Fraction; floats pass
-through unchanged when that is what the caller supplies.
+moments form only label-constant partitions. When every moment of every
+label is an int or a Fraction, the joint moments run on integers by the
+same rule, one factor c_l per label: a word's value is homogeneous of degree
+count_l(w) in label l's dilation, so it is divided once, by the product of
+c_l^count_l(w). transforms.py builds its free sum on the conversions and
+its free product on the joint moments. Everything is exact when fed ints or
+fractions.Fraction; floats pass through unchanged when that is what the
+caller supplies.
 """
 
 from __future__ import annotations
@@ -215,13 +219,10 @@ def free_joint_functional(moments_by_label):
     partitions are formed. Raises CumulantError when a label occurs in the
     word more often than it has cumulants.
 
-    When every moment of every label is an int or a Fraction, the sum runs
-    on integers: label l's moments are scaled by its own c_l as in the
-    conversions, and tau(w) is divided once by the product of
-    c_l^(count of l in w), since each term has degree count_l(w) in label
-    l's dilation. tau(w) is a Fraction when, for some label l, one of its
-    first count_l(w) moments is, and an int otherwise. A float in any label
-    runs the sum on the values as given.
+    Ints and Fractions run on integers (see the module docstring): tau(w)
+    is a Fraction when, for some label l, one of its first count_l(w)
+    moments is, and an int otherwise. A float in any label runs the sum on
+    the values as given.
     """
     laws = {label: list(m) for label, m in moments_by_label.items()}
     if not all(_exact(m) for m in laws.values()):
