@@ -32,7 +32,7 @@ from .levy import (
     pair_to_triple,
     variation_triple,
 )
-from .measures import MeasureError, NumericError, _is_real, dumps
+from .measures import MeasureError, NumericError, _is_real, _rounded, dumps
 from .ncsym import (
     NCSymError,
     composition_of,
@@ -211,7 +211,8 @@ def cmd_levy(args, manifest) -> int:
         return EXIT_OK
     if args.action == "cumulants":
         triple = GeneratingTriple.from_json(_read_json(args.input, manifest))
-        kappas = [float(x) for x in triple_to_cumulants(triple, args.n)]
+        kappas = _rounded(triple_to_cumulants(triple, args.n),
+                          "the cumulants of the triple overflow")
         _write_or_print({"cumulants": kappas}, args, manifest, "cumulants.json")
         return EXIT_OK
     ns = _flag_numbers("--ns", args.ns, int)

@@ -39,6 +39,8 @@ import math
 import operator
 from fractions import Fraction
 
+from .measures import _is_integer
+
 
 class CumulantError(ValueError):
     """Invalid conversion request (empty sequence, undefined moments)."""
@@ -287,6 +289,9 @@ def power_sum_joint_cumulant(powers, moments, count):
     count * (R(...) - m_(u(1)+...+u(k))), the quantity whose vanishing in the
     limit drives joint convergence of the variation tuple.
     """
+    powers = tuple(powers)
+    if not all(_is_integer(u) for u in powers):
+        raise CumulantError(f"powers must be integers, got {powers}")
     powers = tuple(int(u) for u in powers)
     tau = word_functional_from_moments(moments)
     # tau rejects powers below 1 and a word beyond the supplied moments

@@ -52,6 +52,13 @@ def _floats(what: str):
             raise NumericError(f"{what} the floats: {exc}") from None
 
 
+def _rounded(values, what: str) -> list:
+    """The exact `values` rounded once, the one exact-to-float rounding;
+    `_floats(what)` reports an overflow."""
+    with _floats(what):
+        return [float(v) for v in values]
+
+
 def _non_finite_field(value, path: str = "") -> str | None:
     """The path of the first non-finite float in a JSON value, or None."""
     if isinstance(value, float):

@@ -13,6 +13,8 @@ import itertools
 from functools import lru_cache
 from math import comb
 
+from .measures import _is_integer
+
 
 class PartitionError(ValueError):
     """Invalid partition input (bad cover, out-of-range size, order violation)."""
@@ -111,10 +113,10 @@ class Composition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if not parts or any(p < 1 for p in parts):
-            raise PartitionError(f"composition parts must be >= 1, got {parts}")
-        self.parts = parts
+        parts = tuple(parts)
+        if not parts or not all(_is_integer(p) and p >= 1 for p in parts):
+            raise PartitionError(f"composition parts must be integers >= 1, got {parts}")
+        self.parts = tuple(int(p) for p in parts)
 
     @property
     def degree(self) -> int:

@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
-from .measures import _exact_atom_moments, _floats, _is_integer, _is_real, _is_real_pairs, dumps
+from .measures import (
+    _exact_atom_moments, _floats, _is_integer, _is_real, _is_real_pairs, _rounded, dumps,
+)
 from .ncsym import stochastic_integral_poly
 
 HERMITIAN_TOL = 1e-10
@@ -149,7 +151,8 @@ def hermitize(h: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(h: np.ndarray) -> bool:
-    return bool(np.max(np.abs(h - h.conj().T)) <= HERMITIAN_TOL * max(1.0, np.max(np.abs(h))))
+    """max|h - h*| <= HERMITIAN_TOL max|h|: judged at h's own scale, with no floor."""
+    return bool(np.max(np.abs(h - h.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(h)))
 
 
 def sample_gue(d: int, rng) -> np.ndarray:
@@ -211,7 +214,7 @@ def _step_kernel(word, grams, config: SimConfig, n: int) -> list:
     where G_l(l+1) = s_l,F* s_(l+1),F.
 
     Increment i of family l is s_l D_(l,i) s_l, so the sum is s_1,F X_n s_m,F*
-    (`_sandwich`) with X_n = D_1 (G_12 o S_12) D_2 ... (G_(m-1)m o S_(m-1)m) D_m,
+    with X_n = D_1 (G_12 o S_12) D_2 ... (G_(m-1)m o S_(m-1)m) D_m,
     where D_l = diag(v_l) and S_l(l+1)[j, j'] is 1 when coordinate j of
     family l and j' of family l+1 fire in the same step. In fired order
     X_n is block-diagonal, X_i = D_(1,i) G_12[i, i] D_(2,i) ... D_(m,i), and
@@ -229,25 +232,19 @@ def _step_kernel(word, grams, config: SimConfig, n: int) -> list:
     return blocks
 
 
-def _sandwich(first, blocks, last) -> np.ndarray:
-    """first X last*, the d x d matrix of the middle factor X given by its
-    step blocks between the fired columns `first` and `last`."""
-    right = np.zeros((first.shape[1], last.shape[0]), dtype=complex)
+def _times(blocks, m, height: int) -> np.ndarray:
+    """X m for the middle factor X of `height` rows given by its step blocks
+    (rows, cols, X_i); a row of X outside every block is zero. Every
+    fired-space quantity is this product and `_trace`."""
+    out = np.zeros((height, m.shape[1]), dtype=complex)
     for rows, cols, block in blocks:
-        right[rows] = block @ last[:, cols].conj().T
-    return first @ right
+        out[rows] = block @ m[cols]
+    return out
 
 
-def _trace_of_square(a) -> float:
-    """Re tr(a a), with no temporary."""
-    return float(np.einsum("ij,ji->", a, a).real)
-
-
-def _variation_matrix(marks, config: SimConfig, k: int) -> np.ndarray:
-    """s e(t)^k s from one trial's (s, u, v) marks: e(t) holds the
-    coordinates that fire on the one-step grid."""
-    s, u, v = marks
-    return hermitize((s * (v**k * (_fire_steps(u, config, 1) == 1))) @ s)
+def _trace(a, b) -> float:
+    """Re tr(a b), with no temporary."""
+    return float(np.einsum("ij,ji->", a, b).real)
 
 
 def sample_cp_increments(config: SimConfig, trial: int, family: str = "a"):
@@ -256,8 +253,10 @@ def sample_cp_increments(config: SimConfig, trial: int, family: str = "a"):
 
 
 def variation_target(config: SimConfig, k: int, trial: int = 0, family: str = "a"):
-    """s e(t)^k s, the matrix realization of the k-th variation at time t."""
-    return _variation_matrix(_draw_marks(config, trial, family), config, k)
+    """s e(t)^k s, the matrix realization of the k-th variation at time t: the
+    one-step increment of the marks with jumps v^k."""
+    s, u, v = _draw_marks(config, trial, family)
+    return next(_increments((s, u, v**k), config, 1))
 
 
 def power_sums(increments, k: int) -> np.ndarray:
@@ -412,12 +411,6 @@ def _run_trials(fn, trials: int, threads: int):
         return list(pool.map(fn, range(trials)))
 
 
-def _rounded(values, what: str) -> list:
-    """The exact `values` rounded once; `_floats(what)` reports an overflow."""
-    with _floats(what):
-        return [float(v) for v in values]
-
-
 def _step_cumulants(config: SimConfig, n: int, orders: int) -> list:
     """The free cumulants delta int x^j d jump, j = 1..orders, of one step of
     an n-step grid of [0, t]: free compound Poisson of rate delta = lam t / n.
@@ -500,16 +493,15 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     def one_trial(trial):
         cols, marks = _fired(config, trial)
         gram = cols.conj().T @ cols
-        product = np.empty_like(gram)  # Delta_n G, every row rewritten at each n
         proxies = []
         for n in schedule:
             blocks = [(rows, rows, hermitize(block)) for rows, _, block
                       in _step_kernel([marks] * k, [gram] * (k - 1), config, n)]
-            for rows, _, block in blocks:
-                np.matmul(block - np.diag(marks[1][rows] ** k), gram[rows], out=product[rows])
-            proxies.append(math.sqrt(max(_trace_of_square(product), 0.0) / config.d))
+            product = _times([(rows, rows, block - np.diag(marks[1][rows] ** k))
+                              for rows, _, block in blocks], gram, len(gram))
+            proxies.append(math.sqrt(max(_trace(product, product), 0.0) / config.d))
         del gram, product
-        acc = _sandwich(cols, blocks, cols)
+        acc = cols @ _times(blocks, cols.conj().T, cols.shape[1])
         del cols
         eigs = esd(acc)
         return [float(np.mean(eigs**m)) for m in range(1, orders + 1)], proxies, eigs
@@ -643,20 +635,13 @@ def _mixed_norm(blocks, gram_a, gram_b, cross, mode: str) -> float:
     """||A||^2 for A = s_a,F X s_b,F* (mode "product") or ||A + A*||^2 (mode
     "anticommutator"), from the step blocks of X, G_a = s_a,F* s_a,F,
     G_b = s_b,F* s_b,F and C = s_a,F* s_b,F:
-    ||A||^2 = <G_a X, X G_b> and ||A + A*||^2 = 2 ||A||^2 + 2 Re tr((X* C)^2)."""
-    left = np.zeros(cross.shape, dtype=complex)
-    right = np.zeros(cross.shape, dtype=complex)
-    for rows, cols, block in blocks:
-        left[:, cols] = gram_a[:, rows] @ block
-        right[rows] = block @ gram_b[cols]
-    norm = float(np.vdot(left, right).real)
+    ||A||^2 = Re tr(G_a X G_b X*) and ||A + A*||^2 = 2 ||A||^2 + 2 Re tr((X C*)^2)."""
+    height = len(gram_a)
+    norm = _trace(gram_a, _times(blocks, _times(blocks, gram_b, height).conj().T, height))
     if mode == "product":
         return norm
-    del left, right
-    product = np.zeros_like(gram_b)
-    for rows, cols, block in blocks:
-        product[cols] = block.conj().T @ cross[rows]
-    return 2 * norm + 2 * _trace_of_square(product)
+    twisted = _times(blocks, cross.conj().T, height)
+    return 2 * norm + 2 * _trace(twisted, twisted)
 
 
 def mixed_decay(

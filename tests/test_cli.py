@@ -175,6 +175,15 @@ def test_levy_cumulants(tmp_path, capsys):
     assert json.loads(out)["cumulants"] == [1.0, 1.0, 1.0, 1.0]
 
 
+def test_levy_cumulants_that_leave_the_floats_exit_3(tmp_path, capsys):
+    # the exact kappa_400 = 10^400 is rounded once, in a numeric stage
+    path = write_triple(tmp_path, 0, 0, [[10, 1]])
+    code, out, err = run(capsys, "levy", "cumulants", "--input", str(path), "--n", "400")
+    assert code == 3
+    assert err.startswith("numeric failure: the cumulants of the triple overflow the floats")
+    assert "Traceback" not in err and out == ""
+
+
 def test_levy_bp_check(tmp_path, capsys):
     out_dir = tmp_path / "bp"
     code, _, _ = run(
@@ -383,21 +392,24 @@ def test_sim_identity_cli(tmp_path, capsys):
     )
 
 
-def test_sim_variation_cli_threads_byte_identical(tmp_path, capsys):
-    cfg = write_config(tmp_path, d=60, trials=3, N=8, k=1)
-    out1 = tmp_path / "t1"
-    out8 = tmp_path / "t8"
-    code1, _, _ = run(
-        capsys, "sim", "variation", "--config", str(cfg), "--out", str(out1),
-        "--threads", "1",
-    )
-    code8, _, _ = run(
-        capsys, "sim", "variation", "--config", str(cfg), "--out", str(out8),
-        "--threads", "8",
-    )
-    assert code1 == code8 == 0
-    assert (out1 / "variation_k1.json").read_bytes() == (
-        out8 / "variation_k1.json"
+# mixed decays by far less than its threshold from n = 4 to 8, so it exits 1
+@pytest.mark.parametrize("extras, stem, code", [
+    pytest.param({"k": 1}, "variation_k1", 0, id="variation"),
+    pytest.param({"mode": "anticommutator", "schedule": [4, 8]}, "mixed_anticommutator", 1,
+                 id="mixed-anticommutator"),
+    pytest.param({"mode": "product", "schedule": [4, 8]}, "mixed_product", 1,
+                 id="mixed-product"),
+    pytest.param({"k": 2}, "identity_k2", 0, id="identity"),
+])
+def test_sim_variation_cli_threads_byte_identical(tmp_path, capsys, extras, stem, code):
+    cfg = write_config(tmp_path, d=60, trials=3, N=8, **extras)
+    subcommand = stem.split("_")[0]
+    for threads in ("1", "8"):
+        got, _, _ = run(capsys, "sim", subcommand, "--config", str(cfg),
+                        "--out", str(tmp_path / threads), "--threads", threads)
+        assert got == code, threads
+    assert (tmp_path / "1" / f"{stem}.json").read_bytes() == (
+        tmp_path / "8" / f"{stem}.json"
     ).read_bytes()
 
 
@@ -432,6 +444,17 @@ def test_sim_matcauchy_cli(tmp_path, capsys):
     assert entry[1] == pytest.approx(-0.5, abs=1e-12)
     # the matrix is reported unchecked, so no verdict word
     assert out.splitlines()[-1] == "matcauchy k=2 d=150"
+
+
+@pytest.mark.parametrize("entry", [1e-11, 1.0])
+def test_sim_matcauchy_rejects_a_non_hermitian_a_at_any_scale(tmp_path, capsys, entry):
+    raw = json.loads((CONFIGS / "matcauchy.json").read_text())
+    raw["A"] = [[[0.0, entry], [0.0, 0.0]]]
+    cfg = tmp_path / "matcauchy.json"
+    cfg.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "sim", "matcauchy", "--config", str(cfg))
+    assert code == 2
+    assert "needs Hermitian coefficients" in err
 
 
 def test_sim_matcauchy_shape_mismatch_exit_2(tmp_path, capsys):

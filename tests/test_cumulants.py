@@ -496,6 +496,14 @@ def test_power_sum_rejects_powers_below_one(powers):
         power_sum_joint_cumulant(powers, [1, 2, 5], 4)
 
 
+@pytest.mark.parametrize("powers", [(1.5, 1), (1.0, 1), (True, 1)],
+                         ids=["fractional", "float", "bool"])
+def test_power_sum_rejects_powers_that_are_not_integers(powers):
+    # a power is never truncated: (1.5, 1) once gave the (1, 1) cumulant
+    with pytest.raises(CumulantError, match="must be integers"):
+        power_sum_joint_cumulant(powers, [1, 2, 5, 14], 3)
+
+
 # -- additivity via the transforms moment-level convolution ------------------
 
 

@@ -104,6 +104,21 @@ def test_composition_bijection():
             assert c.to_partition() == p
 
 
+@pytest.mark.parametrize("parts", [[1.5, 2.9], [2.0, 1], [True, 1], ["2"]],
+                         ids=["fractional", "float", "bool", "string"])
+def test_composition_rejects_parts_that_are_not_integers(parts):
+    # a part is never truncated: 1.5 once became 1
+    with pytest.raises(PartitionError, match="must be integers"):
+        Composition(parts)
+
+
+def test_composition_normalizes_numpy_integers():
+    import numpy as np
+
+    assert Composition([np.int64(2), 1]).parts == (2, 1)
+    assert all(type(p) is int for p in Composition([np.int64(2), 1]).parts)
+
+
 # -- Mobius functions --------------------------------------------------------
 
 
