@@ -500,7 +500,8 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
             product = _times([(rows, rows, block - np.diag(marks[1][rows] ** k))
                               for rows, _, block in blocks], gram, len(gram))
             proxies.append(math.sqrt(max(_trace(product, product), 0.0) / config.d))
-        del gram, product
+            del product  # freed before the next point's is built
+        del gram
         acc = cols @ _times(blocks, cols.conj().T, cols.shape[1])
         del cols
         eigs = esd(acc)

@@ -115,8 +115,8 @@ def test_composition_rejects_parts_that_are_not_integers(parts):
 def test_composition_normalizes_numpy_integers():
     import numpy as np
 
-    assert Composition([np.int64(2), 1]).parts == (2, 1)
-    assert all(type(p) is int for p in Composition([np.int64(2), 1]).parts)
+    parts = Composition([np.int64(2), 1]).parts
+    assert parts == (2, 1) and all(type(p) is int for p in parts)
 
 
 # -- Mobius functions --------------------------------------------------------
