@@ -107,9 +107,9 @@ class DensityGrid:
     hi: float
     h: float
     values: np.ndarray
-    # the Chebyshev moments of the grid's Cauchy sum, kept by transforms;
-    # values are read-only, so they cannot go stale
-    chebyshev_moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the nodes, trapezoid-weighted values and Chebyshev moments of the grid's
+    # Cauchy sum, kept by transforms; values are read-only, so they cannot go stale
+    kernel_constants: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

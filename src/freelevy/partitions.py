@@ -24,7 +24,15 @@ NC_ENUMERATION_BOUND = 14
 INT_ENUMERATION_BOUND = 30
 
 
+def _size(n, least: int, what: str) -> int:
+    """n as an int when it is an integer >= least (numpy ints too, bools not); else PartitionError."""
+    if not (_is_integer(n) and n >= least):
+        raise PartitionError(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
 def catalan(n: int) -> int:
+    n = _size(n, 0, "the Catalan index")
     return comb(2 * n, n) // (n + 1)
 
 
@@ -34,8 +42,7 @@ class Partition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
-        if n < 1:
-            raise PartitionError(f"ground set size must be >= 1, got {n}")
+        n = _size(n, 1, "the ground set size")
         canon = tuple(tuple(sorted(b)) for b in blocks)
         canon = tuple(sorted(canon, key=lambda b: b[0]))
         seen = set()
@@ -146,7 +153,8 @@ class Composition:
 
 
 def compositions(n: int):
-    """All compositions of n, in lexicographic order of the cut set."""
+    """All compositions of n >= 1, in lexicographic order of the cut set."""
+    n = _size(n, 1, "the composed integer")
     for cuts in itertools.product((False, True), repeat=n - 1):
         parts, size = [], 1
         for cut in cuts:
@@ -204,7 +212,8 @@ def _nc_blocklists(length: int):
 
 def enumerate_nc(n: int) -> list:
     """All non-crossing partitions of {1..n}; |result| = catalan(n)."""
-    if not (1 <= n <= NC_ENUMERATION_BOUND):
+    n = _size(n, 1, "the ground set size")
+    if n > NC_ENUMERATION_BOUND:
         raise PartitionError(
             f"NC enumeration supports 1 <= n <= {NC_ENUMERATION_BOUND}, got {n}"
         )
@@ -220,7 +229,8 @@ def enumerate_nc(n: int) -> list:
 
 def enumerate_int(n: int) -> list:
     """All interval partitions of {1..n}; |result| = 2^(n-1)."""
-    if not (1 <= n <= INT_ENUMERATION_BOUND):
+    n = _size(n, 1, "the ground set size")
+    if n > INT_ENUMERATION_BOUND:
         raise PartitionError(
             f"Int enumeration supports 1 <= n <= {INT_ENUMERATION_BOUND}, got {n}"
         )

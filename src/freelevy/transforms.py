@@ -25,8 +25,9 @@ Numeric conventions, fixed here and relied on by the tests:
   and q = 1 / (zeta + s), it is (2 / (r s)) (mu_0 / 2 + sum_k mu_k q^k), with
   the Chebyshev moments mu_k = sum_j w_j T_k((x_j - c) / r) of the weights
   (Olver & Nadakuditi, arXiv:1203.1958). The moments for k < CHEBYSHEV_TERMS
-  = 192 are computed once per grid and kept on it; grid values are
-  read-only, so they cannot go stale. The dropped tail is at most
+  = 192 are computed once per grid, with the nodes and the weighted values,
+  and kept on it; grid values are read-only, so they cannot go stale. The
+  dropped tail is at most
   2 (|zeta| + 1) |q|^K / (|s| (1 - |q|)) relative to sum |w_j| / |z - x_j|, and
   a point takes the expansion only where that is <= CHEBYSHEV_TOL = 1e-14,
   which leaves the rest of the 1e-13 to rounding. Points near the nodes, where
@@ -48,11 +49,12 @@ Numeric conventions, fixed here and relied on by the tests:
   output points) / 8: the subordination map converges from any start in the
   upper half-plane (Belinschi & Bercovici, 2007), and from that height the
   first sweeps take G's far field instead of the direct sum. Each later
-  line starts from the previous line's omega shifted by i (eps - eps_prev),
-  which stays above the new line since Im omega >= Im z for probability
-  measures (a point whose start would not, as for some powers of heavier
-  measures, starts from z); the densities match a cold start from w = z to
-  1e-7 of their maximum.
+  line starts one Cauchy-Riemann step below the previous line's omega:
+  omega is analytic in z, so d omega / dz = d omega / dx along a line, and
+  the start is omega + i (eps - eps_prev) d omega / dx, with the derivative
+  taken by np.gradient on the output points. A start below its line (as
+  for some powers of heavier measures) is replaced by z; the densities
+  match a cold start from w = z to 1e-7 of their maximum.
 * One fixed-point solver, vectorised over points, serves every iteration:
   Steffensen acceleration with a half-step fallback when the extrapolated
   iterate misbehaves (the plain map stalls where its contraction factor
@@ -83,7 +85,7 @@ import math
 import numpy as np
 
 from .cumulants import cumulants_to_moments, free_joint_functional, moments_to_cumulants
-from .measures import DensityGrid, GridMeasure, MeasureError, point_mass
+from .measures import DensityGrid, GridMeasure, MeasureError, _is_integer, _is_real, point_mass
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
 FIXED_POINT_TOL = 1e-10
@@ -135,19 +137,29 @@ def _cauchy_sum(mu: GridMeasure, z, power):
     return out[0] if arr.ndim == 0 else out
 
 
-def _chebyshev_moments(weighted, xs):
-    """(c, r, runs): the centre c and half-width r of the nodes, and the
-    moments mu_k = sum_j w_j T_k(y_j), y_j = (x_j - c) / r, for
-    k < CHEBYSHEV_TERMS, with mu_0 halved, in rows of CHEBYSHEV_RUN."""
-    c, r = (xs[0] + xs[-1]) / 2.0, (xs[-1] - xs[0]) / 2.0
-    y = np.clip((xs - c) / r, -1.0, 1.0)
-    mu = np.empty(CHEBYSHEV_TERMS)
-    mu[0] = weighted.sum() / 2.0
-    t_prev, t = np.ones_like(y), y
-    for k in range(1, CHEBYSHEV_TERMS):
-        mu[k] = (weighted * t).sum()
-        t_prev, t = t, 2.0 * y * t - t_prev
-    return c, r, mu.reshape(-1, CHEBYSHEV_RUN)
+def _kernel_constants(grid):
+    """(xs, weighted, moments) of a grid of at least two nodes, computed on
+    the first call and kept on the grid: the nodes, the values times the
+    trapezoid weights (h inside, h/2 at the ends), and (c, r, runs), the
+    centre c and half-width r of the nodes with the moments
+    mu_k = sum_j w_j T_k(y_j), y_j = (x_j - c) / r, for k < CHEBYSHEV_TERMS,
+    mu_0 halved, in rows of CHEBYSHEV_RUN."""
+    if grid.kernel_constants is None:
+        xs = grid.xs()
+        h = xs[1] - xs[0]
+        w = np.full(len(xs), h)
+        w[0] = w[-1] = h / 2.0
+        weighted = grid.values * w
+        c, r = (xs[0] + xs[-1]) / 2.0, (xs[-1] - xs[0]) / 2.0
+        y = np.clip((xs - c) / r, -1.0, 1.0)
+        mu = np.empty(CHEBYSHEV_TERMS)
+        mu[0] = weighted.sum() / 2.0
+        t_prev, t = np.ones_like(y), y
+        for k in range(1, CHEBYSHEV_TERMS):
+            mu[k] = (weighted * t).sum()
+            t_prev, t = t, 2.0 * y * t - t_prev
+        grid.kernel_constants = (xs, weighted, (c, r, mu.reshape(-1, CHEBYSHEV_RUN)))
+    return grid.kernel_constants
 
 
 def _chebyshev_far_field(moments, z):
@@ -185,27 +197,23 @@ def _chebyshev_far_field(moments, z):
 
 def _trapz_kernel(grid, pts, power):
     """sum_j w_j / (z - x_j)^power over the trapezoid weights w_j, zero on a
-    grid of one node. For power 1, points whose a-priori bound allows it
-    take the Chebyshev expansion, from moments kept on the grid, and the
-    other points inside KERNEL_RANGE are summed in real arithmetic on blocks
-    of at most KERNEL_CHUNK elements, each row reduced by its own row sum;
-    every other point divides in complex arithmetic (see the module
-    docstring)."""
-    xs = grid.xs()
-    if len(xs) < 2:
+    grid of one node. The nodes, weights and Chebyshev moments are computed
+    once per grid (`_kernel_constants`). For power 1, points whose a-priori
+    bound allows it take the Chebyshev expansion, and a call whose points
+    all take it returns there; the other points inside KERNEL_RANGE are
+    summed in real arithmetic on blocks of at most KERNEL_CHUNK elements,
+    each row reduced by its own row sum; every other point divides in
+    complex arithmetic (see the module docstring)."""
+    if len(grid.values) < 2:
         return np.zeros(pts.shape, dtype=complex)
-    # trapezoid weights: h inside, h/2 at the ends
-    h = xs[1] - xs[0]
-    w = np.full(len(xs), h)
-    w[0] = w[-1] = h / 2.0
-    weighted = grid.values * w
+    xs, weighted, moments = _kernel_constants(grid)
     flat = pts.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     direct = np.ones(flat.shape, dtype=bool)
     if power == 1:
-        if grid.chebyshev_moments is None:
-            grid.chebyshev_moments = _chebyshev_moments(weighted, xs)
-        take, g = _chebyshev_far_field(grid.chebyshev_moments, flat)
+        take, g = _chebyshev_far_field(moments, flat)
+        if take.all():
+            return g.reshape(pts.shape)
         out[take] = g
         direct = ~take
     lo, hi = KERNEL_RANGE
@@ -343,9 +351,12 @@ def _stieltjes_inversion(mu, xs, subordinate=None):
     2007), and a start that far above the nodes, a fixed share of their span
     so that the rule is scale-covariant, lets the first sweeps take G's far
     field where a start at z, eps above the axis, needs the direct sum.
-    Each later line starts from the previous line's omega shifted by
-    i (eps - eps_prev), which stays above the new line since Im omega >= Im z
-    for probability measures (a point whose start would not starts from z).
+    Each later line starts at omega_prev + i (eps - eps_prev) d omega / dx,
+    the previous line's omega moved by its first-order Taylor step, since
+    d omega / dz = d omega / dx by Cauchy-Riemann; the derivative is
+    np.gradient of omega_prev on xs, dimensionless, so the rule stays
+    scale-covariant, and costs no evaluation of G. A point whose start falls
+    below its line starts from z.
     -Im G / pi is Richardson-extrapolated to eps -> 0 and clipped at zero.
     """
     lines, omega, prev = [], None, None
@@ -357,13 +368,18 @@ def _stieltjes_inversion(mu, xs, subordinate=None):
             if omega is None:
                 start = zs + 1j * (xs[-1] - xs[0]) / 8.0
             else:
-                start = omega + 1j * (eps - prev)
+                start = omega + 1j * (eps - prev) * np.gradient(omega, xs)
                 start = np.where(start.imag >= eps, start, zs)
             omega = subordinate(zs, start)
         lines.append(-cauchy(mu, omega).imag / math.pi)
         prev = eps
     f1, f2, f3 = lines
     return np.clip((8.0 * f3 - 6.0 * f2 + f1) / 3.0, 0.0, None)
+
+
+def _check_n_points(n_points):
+    if not (_is_integer(n_points) and n_points >= 2):
+        raise TransformError(f"n_points must be an integer >= 2, got {n_points!r}")
 
 
 def _density_measure(mu, subordinate, lo, hi, n_points, target_mass) -> GridMeasure:
@@ -393,6 +409,7 @@ def free_convolve(mu: GridMeasure, nu: GridMeasure, n_points: int = 3001) -> Gri
     inversion with Richardson extrapolation. The output grid covers the sum
     of the supports. A single point mass shifts the other measure exactly.
     """
+    _check_n_points(n_points)
     for m in (mu, nu):
         if not m.is_probability():
             raise TransformError("free_convolve expects probability measures")
@@ -422,6 +439,9 @@ def boxplus_power(obj, t, infinitely_divisible: bool = False, n_points: int = 30
     one atom (Bercovici & Voiculescu, 1998), so no law with several atoms
     meets the flag's precondition.
     """
+    if not _is_real(t):
+        raise TransformError(f"power must be a finite real, got {t!r}")
+    _check_n_points(n_points)
     if t <= 0:
         raise TransformError(f"power must be positive, got {t}")
     if t < 1 and not infinitely_divisible:

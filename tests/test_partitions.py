@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,48 @@ def test_enumeration_bounds():
         enumerate_int(0)
     with pytest.raises(PartitionError):
         enumerate_int(31)
+
+
+# sizes that are not integers: each once raised a bare TypeError, passed as
+# a float or, as a bool, as 1
+NOT_SIZES = [2.5, 3.0, True, "3", None]
+
+
+def test_catalan_takes_integer_indices_only():
+    for n in [*NOT_SIZES, 3.5, -1]:
+        with pytest.raises(PartitionError, match="the Catalan index"):
+            catalan(n)
+    assert catalan(np.int64(4)) == 14 and catalan(0) == 1
+
+
+def test_enumerate_nc_takes_integer_sizes_only():
+    for n in NOT_SIZES:
+        with pytest.raises(PartitionError, match="ground set size"):
+            enumerate_nc(n)
+    assert enumerate_nc(np.int64(3)) == enumerate_nc(3)
+    assert all(type(p.n) is int for p in enumerate_nc(np.int64(3)))
+
+
+def test_enumerate_int_takes_integer_sizes_only():
+    for n in NOT_SIZES:
+        with pytest.raises(PartitionError, match="ground set size"):
+            enumerate_int(n)
+    assert enumerate_int(np.int64(3)) == enumerate_int(3)
+
+
+def test_compositions_take_integers_from_one():
+    for n in [*NOT_SIZES, 0, -2]:
+        with pytest.raises(PartitionError, match="the composed integer"):
+            list(compositions(n))
+    assert list(compositions(np.int64(3))) == list(compositions(3))
+
+
+def test_partition_size_is_an_integer():
+    for n in [3.0, True, "3"]:
+        with pytest.raises(PartitionError, match="ground set size"):
+            Partition(n, [(1,)] if n is True else [(1, 2), (3,)])
+    p = Partition(np.int64(3), [(1, 2), (3,)])
+    assert p == Partition(3, [(1, 2), (3,)]) and type(p.n) is int
 
 
 def test_int_subset_of_nc():

@@ -167,7 +167,7 @@ def fsum_error(mu, zs, got):
 def chebyshev_take(mu, zs):
     """Which points take the grid sum's Chebyshev expansion."""
     cauchy(mu, zs)
-    return transforms._chebyshev_far_field(mu.grid.chebyshev_moments, zs)[0]
+    return transforms._chebyshev_far_field(mu.grid.kernel_constants[2], zs)[0]
 
 
 @pytest.mark.parametrize("re", [0.0, 0.5, 0.95, -1.0])
@@ -213,7 +213,7 @@ def test_chebyshev_far_field_on_the_smallest_grids(values):
         assert mu.grid.mass() == 0.0
         assert np.array_equal(cauchy(mu, zs), np.zeros(len(zs)))
         assert np.array_equal(cauchy_derivative(mu, zs), np.zeros(len(zs)))
-        assert mu.grid.chebyshev_moments is None
+        assert mu.grid.kernel_constants is None
         return
     mu = GridMeasure([], DensityGrid(-0.5 * (n - 1), 0.5 * (n - 1), 1.0, values))
     got = cauchy(mu, zs)
@@ -296,15 +296,38 @@ def test_chebyshev_far_field_serves_most_of_a_subordination_line(monkeypatch):
 
 
 def test_grid_values_are_read_only():
-    # the Chebyshev moments kept on a grid cannot go stale
+    # the kernel constants kept on a grid cannot go stale
     grid = semicircle(1.0, n_points=101).grid
     with pytest.raises(ValueError):
         grid.values[0] = 1.0
     mu = GridMeasure([], grid)
     cauchy(mu, 5j)
-    moments = grid.chebyshev_moments
+    constants = grid.kernel_constants
     cauchy(mu, 6j)
-    assert grid.chebyshev_moments is moments
+    assert grid.kernel_constants is constants
+
+
+def test_kernel_constants_are_computed_once_per_grid(monkeypatch):
+    # the nodes, weights and moments of a grid are built on its first call,
+    # G or G', and every later call, near or far, reuses them
+    built = []
+    xs = DensityGrid.xs
+
+    def counting_xs(grid):
+        built.append(grid)
+        return xs(grid)
+
+    monkeypatch.setattr(DensityGrid, "xs", counting_xs)
+    mu = semicircle(1.0, n_points=1001)
+    built.clear()
+    zs = np.array([0.3 + 1e-3j, 1.0 + 0.1j, 5j, 40.0 + 1j])
+    for z in [zs, zs[0], zs[2]]:
+        cauchy_derivative(mu, z)
+        cauchy(mu, z)
+    assert built == [mu.grid]
+    constants = mu.grid.kernel_constants
+    assert constants[1].sum() == pytest.approx(mu.grid.mass(), rel=1e-15)
+    assert constants[2][2][0, 0] == pytest.approx(mu.grid.mass() / 2.0, rel=1e-15)
 
 
 # -- voiculescu -----------------------------------------------------------
@@ -462,28 +485,45 @@ LADDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(LADDER_CASES))
-def test_warm_stieltjes_ladder_matches_a_cold_start(case, monkeypatch):
-    # each inversion line starts from the line above; solving every line from
-    # w = z must give the same density to 1e-7 of its maximum, in fewer sweeps
-    evaluated = []
-    real_cauchy = transforms.cauchy
+@pytest.fixture(scope="module", params=sorted(LADDER_CASES))
+def ladder(request):
+    """(warm, cold): the density of a ladder case and the points at which it
+    evaluated G, with each inversion line started from the line above, and
+    with every line solved from w = z."""
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        evaluated = []
+        real_cauchy = transforms.cauchy
 
-    def counting_cauchy(mu, z):
-        evaluated.append(np.size(z))
-        return real_cauchy(mu, z)
+        def counting_cauchy(mu, z):
+            evaluated.append(np.size(z))
+            return real_cauchy(mu, z)
 
-    monkeypatch.setattr(transforms, "cauchy", counting_cauchy)
-    warm = LADDER_CASES[case]().grid.values
-    warm_points, evaluated[:] = sum(evaluated), []
-    solve = transforms._accelerated_fixed_point
-    monkeypatch.setattr(
-        transforms, "_accelerated_fixed_point",
-        lambda step, z, what, start=None: solve(step, z, what),
-    )
-    cold = LADDER_CASES[case]().grid.values
+        patch.setattr(transforms, "cauchy", counting_cauchy)
+        runs.append((LADDER_CASES[request.param]().grid.values, sum(evaluated)))
+        evaluated.clear()
+        solve = transforms._accelerated_fixed_point
+        patch.setattr(
+            transforms, "_accelerated_fixed_point",
+            lambda step, z, what, start=None: solve(step, z, what),
+        )
+        runs.append((LADDER_CASES[request.param]().grid.values, sum(evaluated)))
+    return runs
+
+
+def test_warm_stieltjes_ladder_matches_a_cold_start(ladder):
+    # solving every line from w = z must give the same density to 1e-7 of
+    # its maximum, in fewer sweeps
+    (warm, warm_points), (cold, cold_points) = ladder
     assert np.max(np.abs(warm - cold)) <= 1e-7 * cold.max()
-    assert warm_points < 0.9 * sum(evaluated), (warm_points, sum(evaluated))
+    assert warm_points < 0.9 * cold_points, (warm_points, cold_points)
+
+
+def test_ladder_start_saves_a_quarter_of_the_cold_evaluations(ladder):
+    # a later line starts a Cauchy-Riemann step below the line above, which
+    # is near enough to its fixed point to save a quarter of a cold start's G
+    (_, warm_points), (_, cold_points) = ladder
+    assert warm_points <= 0.75 * cold_points, (warm_points, cold_points)
 
 
 def test_non_convergence_names_the_sweeps_and_the_residual(monkeypatch):
@@ -582,6 +622,38 @@ def test_boxplus_power_small_t_cumulant_mode():
 def test_boxplus_power_small_t_point_mass():
     out = boxplus_power(point_mass(2.0), 0.5, infinitely_divisible=True)
     assert out.atoms == [(1.0, 1)]
+
+
+@pytest.mark.parametrize("n_points", [1, 0, 2.5, -3, True], ids=repr)
+@pytest.mark.parametrize("call", ["free_convolve", "boxplus_power"])
+def test_a_bad_n_points_is_a_transform_error(call, n_points):
+    # each once raised an internal IndexError, TypeError or ValueError
+    mu = semicircle(1.0, n_points=101)
+    with pytest.raises(TransformError, match="n_points must be an integer >= 2"):
+        if call == "free_convolve":
+            free_convolve(mu, mu, n_points=n_points)
+        else:
+            boxplus_power(mu, 2.0, n_points=n_points)
+
+
+def test_two_output_points_pass_the_n_points_check():
+    # two points are a valid grid; both sit outside the support, and the
+    # empty density is a numeric outcome, not a usage error
+    mu = semicircle(1.0, n_points=101)
+    with pytest.raises(ConvergenceError, match="empty density"):
+        free_convolve(mu, mu, n_points=2)
+    assert boxplus_power(mu, 2.0, n_points=3).grid.values[1] > 0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("operand", ["measure", "cumulants"])
+def test_a_power_that_is_not_a_finite_real_is_refused_at_once(operand, t, monkeypatch):
+    # nan once ran 500 sweeps of nan before a ConvergenceError, and a
+    # cumulant list came back as nans; no fixed point may run now
+    monkeypatch.setattr(transforms, "_accelerated_fixed_point", None)
+    obj = semicircle(1.0, n_points=1001) if operand == "measure" else [1.0, 2.0]
+    with pytest.raises(TransformError, match="power must be a finite real"):
+        boxplus_power(obj, t)
 
 
 def test_boxplus_power_small_t_density_raises_cleanly():
