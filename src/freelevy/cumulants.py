@@ -39,7 +39,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .measures import _is_integer
+from .measures import _integer, _is_integer
 
 
 class CumulantError(ValueError):
@@ -301,7 +301,7 @@ def power_sum_joint_cumulant(powers, moments, count):
 
 def free_poisson_moments(lam, n: int) -> list:
     """First n moments of the free Poisson law with rate lam (all cumulants lam)."""
-    return cumulants_to_moments([lam] * n)
+    return cumulants_to_moments([lam] * _integer(n, 1, "n", CumulantError))
 
 
 __all__ = [

@@ -20,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import DensityGrid, GridMeasure, NumericError, _floats, _is_integer, _is_real
+from .measures import (
+    DensityGrid, GridMeasure, NumericError, _floats, _integer, _is_integer, _is_real,
+)
 
 MERGE_RTOL = 1e-12
 INTEGRABILITY_GUARD = 1e12
@@ -212,8 +214,7 @@ class VariationMap:
 
     @classmethod
     def power(cls, k: int) -> "VariationMap":
-        if k < 1:
-            raise LevyError(f"power maps need k >= 1, got {k}")
+        k = _integer(k, 1, "k", LevyError)
 
         def p(x):
             return x**k
@@ -268,8 +269,7 @@ def pair_to_triple(p: GeneratingPair) -> GeneratingTriple:
 @_floats("the cumulants of the triple overflow")
 def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
     """kappa_1 = eta + int_{|x|>1} x, kappa_2 = a + int x^2, kappa_m = int x^m."""
-    if n < 1:
-        raise LevyError(f"cumulant order n must be >= 1, got {n}")
+    n = _integer(n, 1, "the cumulant order n", LevyError)
     out = [t.eta + t.rho.integrate(_tail_x)]
     if n > 1:
         moments = t.rho.moments(n)

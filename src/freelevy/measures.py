@@ -84,6 +84,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _integer(value, least: int, what: str, error) -> int:
+    """value as an int when it is an integer >= least (Python and numpy ints,
+    not bools); otherwise the caller's `error` class. The one check of a
+    count, order, size or power."""
+    if not (_is_integer(value) and value >= least):
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _is_real(value) -> bool:
     """True for finite Python and numpy reals (Fractions too); False for bools and all else."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -140,7 +149,7 @@ class DensityGrid:
 
     @classmethod
     def from_function(cls, lo, hi, n_points, fn) -> "DensityGrid":
-        xs = np.linspace(lo, hi, n_points)
+        xs = np.linspace(lo, hi, _integer(n_points, 2, "n_points", MeasureError))
         return cls(float(lo), float(hi), float(xs[1] - xs[0]), np.clip(fn(xs), 0, None))
 
 
@@ -205,6 +214,7 @@ class GridMeasure:
     def moments(self, n: int) -> list:
         """[moment(k) for k in 1..n], `==` and of the same types; exact atoms
         take one pass (see the module docstring)."""
+        n = _integer(n, 0, "n", MeasureError)
         exact = _exact_atom_moments(self.atoms, n)
         if exact is None:
             return [self.moment(k) for k in range(1, n + 1)]

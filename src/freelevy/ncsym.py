@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from .measures import _integer
 from .partitions import Composition, Partition, PartitionError, compositions
 
 LETTER_EXPANSION_MAX_N = 6
@@ -253,8 +254,10 @@ def p_basis(sigma: Partition) -> NCPolynomial:
     return NCPolynomial("p")._add_terms(terms())
 
 
-def _check_expansion_bounds(degree: int, n_letters: int):
-    if n_letters > LETTER_EXPANSION_MAX_N or n_letters < 1:
+def _letter_count(degree: int, n_letters) -> int:
+    """n_letters as an int, when it and the degree are within the expansion bounds."""
+    n_letters = _integer(n_letters, 1, "letters", NCSymError)
+    if n_letters > LETTER_EXPANSION_MAX_N:
         raise NCSymError(
             f"letters must be in 1..{LETTER_EXPANSION_MAX_N}, got {n_letters}"
         )
@@ -263,13 +266,14 @@ def _check_expansion_bounds(degree: int, n_letters: int):
             f"total degree {degree} exceeds expansion bound "
             f"{LETTER_EXPANSION_MAX_DEGREE}"
         )
+    return n_letters
 
 
 def expand_letters(poly: NCPolynomial, n_letters: int) -> NCPolynomial:
     """Brute-force oracle: substitute p_k = x_1^k + ... + x_N^k and expand."""
     if poly.alphabet != "p":
         raise NCSymError("expand_letters acts on p-alphabet polynomials")
-    _check_expansion_bounds(poly.degree(), n_letters)
+    n_letters = _letter_count(poly.degree(), n_letters)
 
     def terms():
         for word, coeff in poly.terms.items():
@@ -283,7 +287,7 @@ def expand_letters(poly: NCPolynomial, n_letters: int) -> NCPolynomial:
 
 def distinct_neighbor_bruteforce(u: Composition, n_letters: int) -> NCPolynomial:
     """Sum of x_i(1)^u(1) ... x_i(r)^u(r) over tuples with distinct neighbors."""
-    _check_expansion_bounds(u.degree, n_letters)
+    n_letters = _letter_count(u.degree, n_letters)
     r = len(u.parts)
     words = []
 
@@ -307,7 +311,8 @@ def stochastic_integral_poly(k: int) -> NCPolynomial:
     sum_(j=1..k) (-1)^(k-j) sum over compositions (m_1..m_j) of k of
     y_(m_1) ... y_(m_j).
     """
-    if not (1 <= k <= SERIES_MAX_ORDER):
+    k = _integer(k, 1, "k", NCSymError)
+    if k > SERIES_MAX_ORDER:
         raise NCSymError(f"k must be in 1..{SERIES_MAX_ORDER}, got {k}")
     return NCPolynomial("y")._add_terms(
         (_normalize((("y", m), 1) for m in c.parts), Fraction((-1) ** (k - len(c.parts))))
@@ -324,7 +329,8 @@ def psi_poly(n: int) -> NCPolynomial:
               X^(j) psi_(n-j-k),
     with X^(j) acting from the left, in the written order.
     """
-    if not (0 <= n <= SERIES_MAX_ORDER):
+    n = _integer(n, 0, "n", NCSymError)
+    if n > SERIES_MAX_ORDER:
         raise NCSymError(f"n must be in 0..{SERIES_MAX_ORDER}, got {n}")
     psis = [NCPolynomial.one("X")]
     x1 = NCPolynomial.generator("X", ("X", 1))

@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .measures import _is_integer
+from .measures import _integer, _is_integer
 
 
 class PartitionError(ValueError):
@@ -24,15 +24,8 @@ NC_ENUMERATION_BOUND = 14
 INT_ENUMERATION_BOUND = 30
 
 
-def _size(n, least: int, what: str) -> int:
-    """n as an int when it is an integer >= least (numpy ints too, bools not); else PartitionError."""
-    if not (_is_integer(n) and n >= least):
-        raise PartitionError(f"{what} must be an integer >= {least}, got {n!r}")
-    return int(n)
-
-
 def catalan(n: int) -> int:
-    n = _size(n, 0, "the Catalan index")
+    n = _integer(n, 0, "the Catalan index", PartitionError)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -42,7 +35,7 @@ class Partition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
-        n = _size(n, 1, "the ground set size")
+        n = _integer(n, 1, "the ground set size", PartitionError)
         canon = tuple(tuple(sorted(b)) for b in blocks)
         canon = tuple(sorted(canon, key=lambda b: b[0]))
         seen = set()
@@ -154,7 +147,7 @@ class Composition:
 
 def compositions(n: int):
     """All compositions of n >= 1, in lexicographic order of the cut set."""
-    n = _size(n, 1, "the composed integer")
+    n = _integer(n, 1, "the composed integer", PartitionError)
     for cuts in itertools.product((False, True), repeat=n - 1):
         parts, size = [], 1
         for cut in cuts:
@@ -212,7 +205,7 @@ def _nc_blocklists(length: int):
 
 def enumerate_nc(n: int) -> list:
     """All non-crossing partitions of {1..n}; |result| = catalan(n)."""
-    n = _size(n, 1, "the ground set size")
+    n = _integer(n, 1, "the ground set size", PartitionError)
     if n > NC_ENUMERATION_BOUND:
         raise PartitionError(
             f"NC enumeration supports 1 <= n <= {NC_ENUMERATION_BOUND}, got {n}"
@@ -229,7 +222,7 @@ def enumerate_nc(n: int) -> list:
 
 def enumerate_int(n: int) -> list:
     """All interval partitions of {1..n}; |result| = 2^(n-1)."""
-    n = _size(n, 1, "the ground set size")
+    n = _integer(n, 1, "the ground set size", PartitionError)
     if n > INT_ENUMERATION_BOUND:
         raise PartitionError(
             f"Int enumeration supports 1 <= n <= {INT_ENUMERATION_BOUND}, got {n}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
 from .measures import (
-    _exact_atom_moments, _floats, _is_integer, _is_real, _is_real_pairs, _rounded, dumps,
+    _exact_atom_moments, _floats, _integer, _is_integer, _is_real, _is_real_pairs, _rounded, dumps,
 )
 from .ncsym import stochastic_integral_poly
 
@@ -76,22 +76,16 @@ class SimConfig:
     alpha: float | None = None  # infinitesimal counterexample mode only
 
     def __post_init__(self):
-        for name in ("d", "trials", "master_seed", "N", "k_max"):
-            if not _is_integer(getattr(self, name)):
-                raise SimError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_integer(self.master_seed):  # any integer, negative too
+            raise SimError(f"master_seed must be an integer, got {self.master_seed!r}")
+        self.master_seed = int(self.master_seed)
+        for name, least in (("d", 2), ("trials", 1), ("N", 1), ("k_max", 1)):
+            setattr(self, name, _integer(getattr(self, name), least, name, SimError))
         for name in ("t", "lam") + (("alpha",) if self.alpha is not None else ()):
             if not _is_real(getattr(self, name)):
                 raise SimError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not _is_real_pairs(self.jump):
             raise SimError(f"jump must be [atom, mass] pairs of real numbers, got {self.jump!r}")
-        if self.d < 2:
-            raise SimError(f"dimension must be >= 2, got {self.d}")
-        if self.trials < 1:
-            raise SimError(f"trials must be >= 1, got {self.trials}")
-        if self.N < 1:
-            raise SimError(f"time steps must be >= 1, got {self.N}")
-        if self.k_max < 1:
-            raise SimError(f"k_max must be >= 1, got {self.k_max}")
         if not (0 < self.t <= 1):
             raise SimError(f"terminal time must be in (0, 1], got {self.t}")
         if not self.lam > 0:
@@ -110,18 +104,10 @@ class SimConfig:
             )
 
     def to_json(self) -> dict:
-        out = {
-            "d": self.d,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "N": self.N,
-            "t": self.t,
-            "lam": self.lam,
-            "jump": [[x, m] for x, m in self.jump],
-            "k_max": self.k_max,
-        }
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
+        out = asdict(self)
+        out["jump"] = [[x, m] for x, m in self.jump]
+        if self.alpha is None:
+            del out["alpha"]
         return out
 
     @classmethod
@@ -157,8 +143,7 @@ def is_hermitian(h: np.ndarray) -> bool:
 
 def sample_gue(d: int, rng) -> np.ndarray:
     """GUE matrix normalized so the spectrum approaches semicircle(var 1)."""
-    if d < 2:
-        raise SimError(f"dimension must be >= 2, got {d}")
+    d = _integer(d, 2, "d", SimError)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -267,8 +252,7 @@ def power_sums(increments, k: int) -> np.ndarray:
 def _power_sum_ladder(increments, k: int) -> list:
     """[power_sums(increments, j) for j in 1..k]: each increment's powers are
     running products, so k powers cost k - 1 matrix products."""
-    if k < 1:
-        raise SimError(f"power must be >= 1, got {k}")
+    k = _integer(k, 1, "k", SimError)
     sums = None
     for x in increments:
         if sums is None:
@@ -298,7 +282,7 @@ def trace_moments(h: np.ndarray, n: int) -> list:
     d = h.shape[0]
     out = []
     p = None
-    for _ in range(n):
+    for _ in range(_integer(n, 0, "n", SimError)):
         p = h if p is None else p @ h
         out.append(float(np.trace(p).real) / d)
     return out
@@ -350,14 +334,7 @@ class SimReport:
     version: str = __version__
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "moments": self.moments,
-            "histograms": self.histograms,
-            "extras": self.extras,
-            "passed": self.passed,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return dumps(self.to_json())
@@ -403,9 +380,8 @@ def _doubling_schedule(n: int):
 
 
 def _run_trials(fn, trials: int, threads: int):
-    if not (_is_integer(threads) and threads >= 1):
-        raise SimError(f"threads must be a positive integer, got {threads!r}")
-    if threads <= 1:
+    threads = _integer(threads, 1, "threads", SimError)
+    if threads == 1:
         return [fn(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(trials)))
@@ -426,6 +402,7 @@ def predicted_variation_moments(config: SimConfig, k: int, orders: int) -> list:
     """Moments of the k-th variation at time t, the limiting law: compound
     Poisson with the jumps pushed through x^k, so its free cumulants are
     every k-th cumulant of the whole interval's law, lam t int x^(kj) d jump."""
+    k, orders = _integer(k, 1, "k", SimError), _integer(orders, 1, "orders", SimError)
     kappas = _step_cumulants(config, 1, orders * k)[k - 1 :: k]
     return _rounded(cumulants_to_moments(kappas), "the predicted moments overflow")
 
@@ -439,6 +416,7 @@ def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
     plus higher corrections. Reports carry it as a reference so the
     systematic truncation gap is visible next to the Monte Carlo error.
     """
+    k, orders = _integer(k, 1, "k", SimError), _integer(orders, 1, "orders", SimError)
     inc_moments = cumulants_to_moments(_step_cumulants(config, config.N, orders * k))
     nu_kappas = moments_to_cumulants(inc_moments[k - 1 :: k])
     return _rounded(cumulants_to_moments([config.N * x for x in nu_kappas]),
@@ -479,10 +457,7 @@ def verify_variation(config: SimConfig, k: int = 2, threads: int = 1) -> SimRepo
     at least 2 trials. The sample moments (1/d) tr(S^m) are the means of
     the m-th powers of the eigenvalues that also make the spectrum
     histogram; they match repeated matrix products to 1e-15 relative."""
-    if not _is_integer(k):
-        raise SimError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise SimError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k", SimError)
     if config.trials < 2:
         raise SimError(f"a standard error needs at least 2 trials, got {config.trials}")
     orders = config.k_max
@@ -563,8 +538,7 @@ def _neighbor_distinct_sum(increments, k: int) -> np.ndarray:
 def verify_integral_identity(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
     """Both sides of the k-fold integral identity on random Hermitian
     increments; an exact algebraic identity at every finite dimension."""
-    if not _is_integer(k):
-        raise SimError(f"k must be an integer, got {k!r}")
+    k = _integer(k, 1, "k", SimError)
     if k > IDENTITY_MAX_K:
         raise SimError(f"identity check bounded by k <= {IDENTITY_MAX_K}")
     poly = stochastic_integral_poly(k)
@@ -604,13 +578,14 @@ def counterexample_rows(alpha: float, ns, t: float = 1.0) -> list:
     """
     rows = []
     for n in ns:
+        n = _integer(n, 1, "N", SimError)
         m = int(2 * n * t)
         sign_sum = -1 if m % 2 else 0
         value = m / n**2 + 2.0 * sign_sum / (n * n**alpha) + m / n ** (2 * alpha)
         reference = 2.0 * t * n ** (1.0 - 2.0 * alpha)
         rows.append(
             {
-                "N": int(n),
+                "N": n,
                 "quadratic_sum": value,
                 "reference": reference,
                 "ratio": value / reference if reference else math.inf,
@@ -691,7 +666,7 @@ def mixed_decay(
 
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
-    ns = schedule or _doubling_schedule(config.N)[1:] or [config.N]
+    ns = [int(n) for n in schedule or _doubling_schedule(config.N)[1:] or [config.N]]
     predicted = _rounded([_free_mixed_m2(*cumulants_to_moments(_step_cumulants(config, n, 2)),
                                          n, mode) for n in ns], "the predicted m2 overflows")
 
@@ -716,7 +691,7 @@ def mixed_decay(
     passed = means[0] > 0 and inversions <= 1 and ratio <= decay_threshold
     extras = {
         "mode": mode,
-        "schedule": list(ns),
+        "schedule": ns,
         "m2_by_n": means,
         "predicted_m2_by_n": predicted,
         "z_by_n": zs,

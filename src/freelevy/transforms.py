@@ -85,7 +85,7 @@ import math
 import numpy as np
 
 from .cumulants import cumulants_to_moments, free_joint_functional, moments_to_cumulants
-from .measures import DensityGrid, GridMeasure, MeasureError, _is_integer, _is_real, point_mass
+from .measures import DensityGrid, GridMeasure, MeasureError, _integer, _is_real, point_mass
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
 FIXED_POINT_TOL = 1e-10
@@ -377,11 +377,6 @@ def _stieltjes_inversion(mu, xs, subordinate=None):
     return np.clip((8.0 * f3 - 6.0 * f2 + f1) / 3.0, 0.0, None)
 
 
-def _check_n_points(n_points):
-    if not (_is_integer(n_points) and n_points >= 2):
-        raise TransformError(f"n_points must be an integer >= 2, got {n_points!r}")
-
-
 def _density_measure(mu, subordinate, lo, hi, n_points, target_mass) -> GridMeasure:
     """Invert G_mu(omega(z)) on n_points uniform nodes over [lo, hi], rescaled to target_mass."""
     xs = np.linspace(lo, hi, n_points)
@@ -409,7 +404,7 @@ def free_convolve(mu: GridMeasure, nu: GridMeasure, n_points: int = 3001) -> Gri
     inversion with Richardson extrapolation. The output grid covers the sum
     of the supports. A single point mass shifts the other measure exactly.
     """
-    _check_n_points(n_points)
+    n_points = _integer(n_points, 2, "n_points", TransformError)
     for m in (mu, nu):
         if not m.is_probability():
             raise TransformError("free_convolve expects probability measures")
@@ -441,7 +436,7 @@ def boxplus_power(obj, t, infinitely_divisible: bool = False, n_points: int = 30
     """
     if not _is_real(t):
         raise TransformError(f"power must be a finite real, got {t!r}")
-    _check_n_points(n_points)
+    n_points = _integer(n_points, 2, "n_points", TransformError)
     if t <= 0:
         raise TransformError(f"power must be positive, got {t}")
     if t < 1 and not infinitely_divisible:
@@ -506,7 +501,7 @@ def free_multiply_moments(ma, mb, n: int) -> list:
     functional; for a >= 0 these are the moments of a^(1/2) b a^(1/2).
     Exact for exact inputs, with no bound on n.
     """
-    ma, mb = list(ma), list(mb)
+    ma, mb, n = list(ma), list(mb), _integer(n, 1, "n", TransformError)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each factor")
     tau = free_joint_functional({"a": ma[:n], "b": mb[:n]})
@@ -516,7 +511,7 @@ def free_multiply_moments(ma, mb, n: int) -> list:
 def free_convolve_moments(ma, mb, n: int) -> list:
     """First n moments of a + b for free a, b: free cumulants add, so these are
     cumulants_to_moments(kappa(a) + kappa(b)). Exact for exact inputs, no bound on n."""
-    ma, mb = list(ma), list(mb)
+    ma, mb, n = list(ma), list(mb), _integer(n, 1, "n", TransformError)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each summand")
     ka, kb = moments_to_cumulants(ma[:n]), moments_to_cumulants(mb[:n])

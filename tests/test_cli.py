@@ -563,7 +563,7 @@ def test_sim_variation_k_max_below_1_exit_2(tmp_path, capsys, k_max):
     cfg = write_config(tmp_path, k=2, k_max=k_max)
     code, out, err = run(capsys, "sim", "variation", "--config", str(cfg))
     assert code == 2
-    assert f"error: k_max must be >= 1, got {k_max}" in err and "Traceback" not in err
+    assert f"error: k_max must be an integer >= 1, got {k_max}" in err and "Traceback" not in err
     assert "PASS" not in out and "FAIL" not in out
 
 

@@ -81,7 +81,7 @@ def test_config_rejects_a_jump_that_is_not_a_list_of_pairs(jump):
 
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_config_rejects_a_k_max_below_1(k_max):
-    with pytest.raises(SimError, match=f"^k_max must be >= 1, got {k_max}$"):
+    with pytest.raises(SimError, match=f"^k_max must be an integer >= 1, got {k_max}$"):
         small_config(k_max=k_max)
 
 
@@ -595,7 +595,7 @@ def test_verify_variation_means_are_the_public_model(k):
 
 
 def test_verify_variation_rejects_a_k_below_1():
-    with pytest.raises(SimError, match="^k must be >= 1, got 0$"):
+    with pytest.raises(SimError, match="^k must be an integer >= 1, got 0$"):
         verify_variation(small_config(d=4, trials=2, N=4), 0)
 
 
@@ -855,7 +855,7 @@ def test_mixed_decay_rejects_a_schedule_entry_that_is_not_a_positive_int(
 @pytest.mark.parametrize("campaign", [verify_variation, verify_integral_identity])
 @pytest.mark.parametrize("k", [2.5, True, "2"])
 def test_campaign_rejects_a_k_that_is_not_an_int(campaign, k):
-    with pytest.raises(SimError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+    with pytest.raises(SimError, match=f"^k must be an integer >= 1, got {re.escape(repr(k))}$"):
         campaign(small_config(d=4, trials=2, N=4), k)
 
 
@@ -869,7 +869,9 @@ def test_mixed_decay_rejects_a_decay_threshold_that_is_not_real(mode, threshold)
 
 @pytest.mark.parametrize("threads", [0, -1, 1.5])
 def test_campaign_rejects_threads_that_are_not_a_positive_int(threads):
-    with pytest.raises(SimError, match="^threads must be a positive integer"):
+    with pytest.raises(
+        SimError, match=f"^threads must be an integer >= 1, got {re.escape(repr(threads))}$"
+    ):
         verify_integral_identity(small_config(d=4, trials=2, N=4), 2, threads=threads)
 
 
