@@ -293,6 +293,7 @@ def power_sum_joint_cumulant(powers, moments, count):
     if not all(_is_integer(u) for u in powers):
         raise CumulantError(f"powers must be integers, got {powers}")
     powers = tuple(int(u) for u in powers)
+    count = _integer(count, 1, "count", CumulantError)
     tau = word_functional_from_moments(moments)
     # tau rejects powers below 1 and a word beyond the supplied moments
     r_one = mixed_free_cumulant(powers, tau)

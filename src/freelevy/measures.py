@@ -130,7 +130,8 @@ class DensityGrid:
                 f"grid expects {n} values for [{self.lo}, {self.hi}] step {self.h}, "
                 f"got {len(self.values)}"
             )
-        if np.any(self.values < -1e-12):
+        # a rounding floor relative to the largest value, so a dilation keeps the answer
+        if np.any(self.values < -1e-12 * np.max(self.values, initial=0.0)):
             raise MeasureError("density values must be nonnegative")
         self.values = np.clip(self.values, 0.0, None)
         self.values.flags.writeable = False

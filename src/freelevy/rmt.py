@@ -126,6 +126,9 @@ class SimConfig:
 
 def stream(master_seed: int, trial: int, tag: str) -> np.random.Generator:
     """Independent counter-based stream for (trial, object) pairs."""
+    trial = _integer(trial, 0, "trial", SimError)
+    if tag not in _STREAM_TAGS:
+        raise SimError(f"unknown stream tag {tag!r}")
     counter = [0, 0, np.uint64(trial), np.uint64(_STREAM_TAGS[tag])]
     return np.random.Generator(
         np.random.Philox(key=np.uint64(master_seed & (2**64 - 1)), counter=counter)
@@ -142,12 +145,21 @@ def is_hermitian(h: np.ndarray) -> bool:
 
 
 def sample_gue(d: int, rng) -> np.ndarray:
-    """GUE matrix normalized so the spectrum approaches semicircle(var 1)."""
+    """GUE matrix normalized so the spectrum approaches semicircle(var 1):
+    (A + A*) / (2 sqrt d) for A = re + i im of standard normals, re drawn
+    first. The parts re + re^T and im - im^T are written into one complex
+    array and multiplied by 1 / (2 sqrt d), as numpy's complex division by
+    a real scalar does, so the result is bit for bit the complex formula's."""
     d = _integer(d, 2, "d", SimError)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (a + a.conj().T) / (2.0 * math.sqrt(d))
+    scale = 1.0 / (2.0 * math.sqrt(d))
+    out = np.empty((d, d), dtype=complex)
+    re = rng.standard_normal((d, d))
+    np.multiply(np.add(re, re.T, out=out.real), scale, out=out.real)
+    im = rng.standard_normal((d, d), out=re)
+    np.multiply(np.subtract(im, im.T, out=out.imag), scale, out=out.imag)
+    return out
 
 
 def _draw_marks(config: SimConfig, trial: int, family: str = "a"):
@@ -233,13 +245,16 @@ def _trace(a, b) -> float:
 
 
 def sample_cp_increments(config: SimConfig, trial: int, family: str = "a"):
-    """The N compound-Poisson increments of one trial, telescoping by design."""
-    return list(_increments(_draw_marks(config, trial, family), config, config.N))
+    """The N compound-Poisson increments of one trial, telescoping by design,
+    yielded one dense matrix at a time (`list()` holds them all). The
+    arguments are checked and the marks drawn at the call."""
+    return _increments(_draw_marks(config, trial, family), config, config.N)
 
 
 def variation_target(config: SimConfig, k: int, trial: int = 0, family: str = "a"):
     """s e(t)^k s, the matrix realization of the k-th variation at time t: the
     one-step increment of the marks with jumps v^k."""
+    k = _integer(k, 1, "k", SimError)
     s, u, v = _draw_marks(config, trial, family)
     return next(_increments((s, u, v**k), config, 1))
 
@@ -289,7 +304,17 @@ def trace_moments(h: np.ndarray, n: int) -> list:
 
 
 def matricial_cauchy(b_mat, a_mats, x_mats) -> np.ndarray:
-    """(I (x) tr/d) applied to the inverse of B (x) 1 - sum A_i (x) X_i."""
+    """(I (x) tr/d) applied to the inverse of M = B (x) 1 - sum A_i (x) X_i.
+
+    M is built in place as k x k blocks of d x d, and one block Gauss-Jordan
+    elimination, pivoting on the diagonal blocks in order, overwrites it with
+    its inverse, whose block traces are the result: k inversions and
+    k (k^2 - 1) products of d x d blocks. No block pivoting is needed: the
+    A_i and X_i are Hermitian, so Im M = Im B (x) 1 is positive definite. A
+    matrix with positive definite imaginary part is invertible and its
+    inverse has a negative definite one, so each Schur complement of M (the
+    inverse of a diagonal block of M^-1) again has a positive definite
+    imaginary part, and so does each pivot, a diagonal block of one."""
     b_mat = np.asarray(b_mat, dtype=complex)
     k = b_mat.shape[0]
     if b_mat.shape != (k, k):
@@ -302,7 +327,9 @@ def matricial_cauchy(b_mat, a_mats, x_mats) -> np.ndarray:
     if not x_mats:
         return np.linalg.inv(b_mat)
     d = x_mats[0].shape[0]
-    big = np.kron(b_mat, np.eye(d))
+    blocks = np.zeros((k, k, d, d), dtype=complex)
+    for p, q in np.ndindex(k, k):
+        np.fill_diagonal(blocks[p, q], b_mat[p, q])
     for a, x in zip(a_mats, x_mats):
         a = np.asarray(a, dtype=complex)
         if a.shape != (k, k) or np.shape(x) != (d, d):
@@ -312,13 +339,19 @@ def matricial_cauchy(b_mat, a_mats, x_mats) -> np.ndarray:
             )
         if not (is_hermitian(a) and is_hermitian(x)):
             raise SimError("matricial transform needs Hermitian coefficients/samples")
-        big -= np.kron(a, x)
-    inv = np.linalg.inv(big)
-    out = np.empty((k, k), dtype=complex)
+        for p, q in np.ndindex(k, k):
+            blocks[p, q] -= a[p, q] * x
     for p in range(k):
-        for q in range(k):
-            out[p, q] = np.trace(inv[p * d : (p + 1) * d, q * d : (q + 1) * d]) / d
-    return out
+        pivot = np.linalg.inv(blocks[p, p])
+        rest = [q for q in range(k) if q != p]
+        for q in rest:
+            blocks[p, q] = pivot @ blocks[p, q]
+        for i in rest:
+            for q in rest:
+                blocks[i, q] -= blocks[i, p] @ blocks[p, q]
+            blocks[i, p] = -(blocks[i, p] @ pivot)
+        blocks[p, p] = pivot
+    return np.einsum("pqii->pq", blocks) / d
 
 
 # -- reports ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from freelevy.cli import main
-from freelevy.cumulants import CumulantError, free_poisson_moments
+from freelevy.cumulants import CumulantError, free_poisson_moments, power_sum_joint_cumulant
 from freelevy.levy import (
     GeneratingTriple, LevyError, LevyMeasure, VariationMap, triple_to_cumulants,
 )
@@ -25,8 +25,8 @@ from freelevy.partitions import (
 )
 from freelevy.rmt import (
     SimConfig, SimError, counterexample_rows, finite_n_power_sum_moments, mixed_decay,
-    power_sums, predicted_variation_moments, sample_gue, trace_moments,
-    verify_integral_identity, verify_variation,
+    power_sums, predicted_variation_moments, sample_cp_increments, sample_gue, stream,
+    trace_moments, variation_target, verify_integral_identity, verify_variation,
 )
 from freelevy.transforms import (
     TransformError, boxplus_power, free_convolve, free_convolve_moments, free_multiply_moments,
@@ -51,6 +51,14 @@ SITES = {
     "SimConfig.k_max": (SimError, 1, "k_max", lambda v: _config(k_max=v), 3,
                         lambda c: c.k_max),
     "sample_gue": (SimError, 2, "d", lambda v: sample_gue(v, 0), 3, None),
+    "stream": (SimError, 0, "trial", lambda v: stream(1, v, "gue_a"), 2, None),
+    # the increments are yielded, so a bad trial must raise at the call itself
+    "sample_cp_increments": (SimError, 0, "trial",
+                             lambda v: sample_cp_increments(_config(), v), 2, None),
+    "variation_target.k": (SimError, 1, "k", lambda v: variation_target(_config(), v), 2,
+                           None),
+    "variation_target.trial": (SimError, 0, "trial",
+                               lambda v: variation_target(_config(), 1, v), 2, None),
     "power_sums": (SimError, 1, "k", lambda v: power_sums([_H], v), 2, None),
     "trace_moments": (SimError, 0, "n", lambda v: trace_moments(_H, v), 2, None),
     "verify_variation": (SimError, 1, "k", lambda v: verify_variation(_config(), v), 2,
@@ -98,6 +106,9 @@ SITES = {
                             None),
     "free_poisson_moments": (CumulantError, 1, "n", lambda v: free_poisson_moments(1, v), 3,
                              None),
+    "power_sum_joint_cumulant": (
+        CumulantError, 1, "count", lambda v: power_sum_joint_cumulant((1, 1), [1, 2, 5], v), 2,
+        lambda r: r[0]),
     "VariationMap.power": (LevyError, 1, "k", VariationMap.power, 2, lambda vm: vm.p(3)),
     "triple_to_cumulants": (LevyError, 1, "the cumulant order n",
                             lambda v: triple_to_cumulants(_TRIPLE, v), 3, None),

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from freelevy.measures import DensityGrid, GridMeasure
+from freelevy.measures import DensityGrid, GridMeasure, MeasureError
 
 
 def _grid():
@@ -34,3 +36,17 @@ def test_moments_equal_moment_by_value_and_type():
             assert [type(v) for v in got] == [type(v) for v in want], (name, grid is not None)
             if grid is not None or name.startswith(("float", "numpy", "bool")):
                 assert repr(got) == repr(want), name
+
+
+@pytest.mark.parametrize("j", [0, -40, 40])
+def test_density_floor_is_relative_to_the_largest_value(j):
+    # the law [0, 1, 2, 1, tail] at step 1 dilated by c = 2^j: values / c, step c;
+    # a rounding tail of -5e-13 is clipped and -1e-3 rejected at every scale
+    c = math.ldexp(1.0, j)
+    law = [0.0, 1.0, 2.0, 1.0]
+    kept = DensityGrid(0.0, 4 * c, c, np.array(law + [-5e-13]) / c)
+    assert kept.values[-1] == 0.0 and kept.values[2] == 2.0 / c
+    with pytest.raises(MeasureError, match="nonnegative"):
+        DensityGrid(0.0, 4 * c, c, np.array(law + [-1e-3]) / c)
+    with pytest.raises(MeasureError, match="nonnegative"):  # nothing positive to scale by
+        DensityGrid(0.0, 2 * c, c, np.array([0.0, 0.0, -1e-300]) / c)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import os
@@ -235,6 +236,50 @@ def test_variation_target_mean_jump2():
     ]
     # kappa_1(X^(2)) = lam * t * 4
     assert abs(float(np.mean(vals)) - 2.0) <= 0.15
+
+
+@pytest.mark.parametrize("d", [2, 7, 200])
+def test_gue_is_the_hermitian_part_of_complex_normals_bit_for_bit(d):
+    for seed in range(5):
+        ours, theirs = stream(seed, 0, "gue_a"), stream(seed, 0, "gue_a")
+        a = theirs.standard_normal((d, d)) + 1j * theirs.standard_normal((d, d))
+        want = (a + a.conj().T) / (2.0 * math.sqrt(d))
+        assert sample_gue(d, ours).tobytes() == want.tobytes()
+        assert ours.random() == theirs.random()  # the same draws were taken
+
+
+def test_cp_increments_are_yielded_from_marks_drawn_at_the_call(monkeypatch):
+    cfg = small_config(d=6, N=4)
+    want = list(_increments(_draw_marks(cfg, 1), cfg, cfg.N))
+    increments = sample_cp_increments(cfg, 1)
+    assert inspect.isgenerator(increments)
+    monkeypatch.setattr(rmt, "stream", None)  # no draw may happen after the call
+    got = list(increments)
+    assert len(got) == cfg.N and all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("trial, family, match", [
+    (-1, "a", "trial must be an integer >= 0"),
+    (2.5, "a", "trial must be an integer >= 0"),
+    (0, "c", "unknown stream tag 'gue_c'"),
+])
+def test_cp_increments_reject_bad_arguments_at_the_call(trial, family, match):
+    with pytest.raises(SimError, match=match):
+        sample_cp_increments(small_config(), trial, family)  # nothing is iterated
+
+
+def test_cp_increments_hold_one_dense_matrix_at_a_time():
+    # the N = 64 increments at d = 200 as one list traced 41 MiB; summed as
+    # they are yielded, about 3.2 MiB (the GUE factor, the running sum and
+    # one increment with its temporaries)
+    cfg = small_config(d=200, N=64)
+    tracemalloc.start()
+    try:
+        sum(sample_cp_increments(cfg, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 # -- esd / moments ---------------------------------------------------------------
@@ -938,6 +983,46 @@ def test_matricial_block_decouples():
     assert abs(out[0, 0] - cauchy(mu, z)) <= 0.02
     assert abs(out[1, 1] - 1.0 / z) <= 1e-12
     assert abs(out[0, 1]) <= 1e-12
+
+
+def dense_matricial_cauchy(b, a_mats, x_mats):
+    """The Kronecker form: (I (x) tr/d) of the kd x kd inverse of
+    B (x) 1 - sum A_i (x) X_i, the test oracle of the block elimination."""
+    k, d = len(b), len(x_mats[0])
+    big = np.kron(b, np.eye(d))
+    for a, x in zip(a_mats, x_mats):
+        big -= np.kron(a, x)
+    inv = np.linalg.inv(big)
+    return np.array([[np.trace(inv[p * d:(p + 1) * d, q * d:(q + 1) * d]) / d
+                      for q in range(k)] for p in range(k)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 50])
+def test_matricial_block_elimination_is_the_dense_inverse(k, d):
+    rng = np.random.default_rng(10 * k + d)
+    for _ in range(5):
+        re, im = rng.standard_normal((2, k, k))
+        b = re + re.T + 1j * (im @ im.T + 0.1 * np.eye(k))  # Im B > 0, not diagonal
+        a_mats = []
+        for _ in range(3):
+            a = rng.standard_normal((k, k))
+            a = a + a.T
+            a[0, -1] = a[-1, 0] = 0.0  # zero entries (for k = 1 the whole A)
+            a_mats.append(a)
+        x_mats = [sample_gue(d, rng) for _ in a_mats]
+        want = dense_matricial_cauchy(b, a_mats, x_mats)
+        got = matricial_cauchy(b, a_mats, x_mats)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_matricial_benchmark_case_is_the_dense_inverse():
+    # `sim matcauchy` on the perfbench inputs: B = 2i I, A_1 = e_11, A_2 = the swap
+    b = np.array([[2j, 0], [0, 2j]])
+    a_mats = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    x_mats = [sample_gue(200, stream(23, i, "gue_a")) for i in range(2)]
+    got = matricial_cauchy(b, a_mats, x_mats)
+    assert np.max(np.abs(got - dense_matricial_cauchy(b, a_mats, x_mats))) <= 1e-13
 
 
 def test_matricial_requires_upper_b():
