@@ -270,7 +270,7 @@ def test_cp_increments_reject_bad_arguments_at_the_call(trial, family, match):
 
 def test_cp_increments_hold_one_dense_matrix_at_a_time():
     # the N = 64 increments at d = 200 as one list traced 41 MiB; summed as
-    # they are yielded, about 3.2 MiB (the GUE factor, the running sum and
+    # they are yielded, about 3.9 MiB (the GUE factor, the running sum and
     # one increment with its temporaries)
     cfg = small_config(d=200, N=64)
     tracemalloc.start()
