@@ -32,7 +32,7 @@ from .levy import (
     pair_to_triple,
     variation_triple,
 )
-from .measures import MeasureError, NumericError, _is_real, _rounded, dumps
+from .measures import MeasureError, NumericError, _is_real, _real, _rounded, dumps
 from .ncsym import (
     NCSymError,
     composition_of,
@@ -191,8 +191,7 @@ _BP_FAMILIES = {
 
 def cmd_levy(args, manifest) -> int:
     for flag, value in (("--lam", args.lam), ("--c", args.c)):
-        if not _is_real(value):
-            raise InputError(f"{flag} must be a finite number, got {value}")
+        _real(value, flag, InputError)
     if args.action != "bp-check" and args.input is None:
         raise InputError(f"levy {args.action} needs --input")
     if args.action == "to-pair":

@@ -39,7 +39,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .measures import _integer, _is_integer
+from .measures import _integer, _integers, _real
 
 
 class CumulantError(ValueError):
@@ -289,19 +289,17 @@ def power_sum_joint_cumulant(powers, moments, count):
     count * (R(...) - m_(u(1)+...+u(k))), the quantity whose vanishing in the
     limit drives joint convergence of the variation tuple.
     """
-    powers = tuple(powers)
-    if not all(_is_integer(u) for u in powers):
-        raise CumulantError(f"powers must be integers, got {powers}")
-    powers = tuple(int(u) for u in powers)
+    powers = _integers(powers, 1, "powers", CumulantError)
     count = _integer(count, 1, "count", CumulantError)
     tau = word_functional_from_moments(moments)
-    # tau rejects powers below 1 and a word beyond the supplied moments
+    # tau rejects a word beyond the supplied moments
     r_one = mixed_free_cumulant(powers, tau)
     return count * r_one, count * (r_one - tau(powers))
 
 
 def free_poisson_moments(lam, n: int) -> list:
     """First n moments of the free Poisson law with rate lam (all cumulants lam)."""
+    _real(lam, "lam", CumulantError)
     return cumulants_to_moments([lam] * _integer(n, 1, "n", CumulantError))
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import (
-    DensityGrid, GridMeasure, NumericError, _floats, _integer, _is_integer, _is_real,
+    DensityGrid, GridMeasure, NumericError, _floats, _integer, _integers, _real,
 )
 
 MERGE_RTOL = 1e-12
@@ -38,8 +38,8 @@ def _check_json(data, kind: str, reals, measure: str):
     for key in (*reals, measure):
         if not (isinstance(data, dict) and key in data):
             raise LevyError(f"a generating {kind} is a JSON object with the key {key!r}")
-        if key in reals and not _is_real(data[key]):
-            raise LevyError(f"{key} must be a real number, got {data[key]!r}")
+        if key in reals:
+            _real(data[key], key, LevyError)
 
 
 def _where(cond, yes, no):
@@ -225,7 +225,7 @@ class VariationMap:
     @classmethod
     def polynomial(cls, coeffs) -> "VariationMap":
         """p(x) = coeffs[0] x + coeffs[1] x^2 + ... (no constant term)."""
-        coeffs = list(coeffs)
+        coeffs = [_real(cj, "a polynomial coefficient", LevyError) for cj in coeffs]
         if not coeffs:
             raise LevyError("polynomial maps need at least one coefficient")
 
@@ -279,7 +279,7 @@ def triple_to_cumulants(t: GeneratingTriple, n: int) -> list:
 
 def compound_poisson_triple(lam, jump: GridMeasure) -> GeneratingTriple:
     """Triple of the rate-lam compound Poisson law with the given jump law."""
-    if lam <= 0:
+    if _real(lam, "lam", LevyError) <= 0:
         raise LevyError(f"rate must be positive, got {lam}")
     if not jump.is_probability():
         raise LevyError("jump must be a probability measure")
@@ -453,9 +453,7 @@ def bp_limit_check(family, ns) -> BPReport:
     error; scales that are not positive ints raise LevyError. Atom-level
     extrapolation of sigma happens when the atom locations are stable across scales.
     """
-    ns = list(ns)
-    if not (ns and all(_is_integer(n) and n > 0 for n in ns)):
-        raise LevyError(f"ns must be a nonempty list of positive integers, got {ns}")
+    ns = list(_integers(ns, 1, "ns", LevyError))
     gammas, sigmas = [], []
     for n in ns:
         mu = family(n)
@@ -498,8 +496,7 @@ def bp_limit_check(family, ns) -> BPReport:
 
 def bernoulli_family(lam):
     """N -> (1 - lam/N) delta_0 + (lam/N) delta_1, exact masses."""
-    if not _is_real(lam):
-        raise LevyError(f"lam must be a finite real number, got {lam!r}")
+    _real(lam, "lam", LevyError)
 
     def family(n):
         frac = Fraction(lam) / n
@@ -510,8 +507,7 @@ def bernoulli_family(lam):
 
 def shifted_atom_family(c):
     """N -> delta_(c/N), the pure-drift family."""
-    if not _is_real(c):
-        raise LevyError(f"c must be a finite real number, got {c!r}")
+    _real(c, "c", LevyError)
 
     def family(n):
         return GridMeasure([(Fraction(c) / n if isinstance(c, int) else c / n, 1)])

@@ -84,13 +84,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _integer(value, least: int, what: str, error) -> int:
-    """value as an int when it is an integer >= least (Python and numpy ints,
-    not bools); otherwise the caller's `error` class. The one check of a
-    count, order, size or power."""
-    if not (_is_integer(value) and value >= least):
-        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+def _integer(value, least: int, what: str, error, most: int | None = None) -> int:
+    """value as an int when it is an integer in least..most, or >= least when
+    most is None (Python and numpy ints, not bools); otherwise the caller's
+    `error` class. The one check of a count, order, size or power."""
+    if not (_is_integer(value) and least <= value and (most is None or value <= most)):
+        span = f">= {least}" if most is None else f"in {least}..{most}"
+        raise error(f"{what} must be an integer {span}, got {value!r}")
     return int(value)
+
+
+def _integers(values, least: int, what: str, error) -> tuple:
+    """values as a tuple of ints when they are a nonempty list or tuple of
+    integers >= least; otherwise the caller's `error` class. The one check
+    of a list of counts."""
+    if not (isinstance(values, (list, tuple)) and values
+            and all(_is_integer(v) and v >= least for v in values)):
+        raise error(f"{what} must be a nonempty list of integers >= {least}, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def _is_real(value) -> bool:
@@ -100,6 +111,14 @@ def _is_real(value) -> bool:
         return real and math.isfinite(value)
     except OverflowError:  # an int or Fraction beyond the float range
         return False
+
+
+def _real(value, what: str, error):
+    """value itself, so ints and Fractions stay exact, when `_is_real` holds;
+    otherwise the caller's `error` class. The one check of a real parameter."""
+    if not _is_real(value):
+        raise error(f"{what} must be a finite real number, got {value!r}")
+    return value
 
 
 def _is_real_pairs(value) -> bool:
@@ -305,7 +324,8 @@ def semicircle(variance=1.0, n_points=4001, center=0.0) -> GridMeasure:
     The sampled values are rescaled so the trapezoid mass is exactly 1 (the
     raw rule loses O(h^1.5) mass at the square-root edges).
     """
-    if variance <= 0:
+    _real(center, "center", MeasureError)
+    if _real(variance, "variance", MeasureError) <= 0:
         raise MeasureError("variance must be positive")
     r = 2.0 * math.sqrt(variance)
 

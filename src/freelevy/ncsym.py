@@ -218,15 +218,9 @@ class NCPolynomial:
         return f"NCPolynomial({self.alphabet!r}, {str(self)})"
 
 
-def _require_interval(sigma: Partition):
-    if not sigma.is_interval():
-        raise NCSymError(f"{sigma!r} is not an interval partition")
-
-
 def q_basis(sigma: Partition) -> NCPolynomial:
     """The monomial p_|V1| p_|V2| ... read off an interval partition."""
-    _require_interval(sigma)
-    word = tuple((("p", size), 1) for size in sigma.block_sizes())
+    word = tuple((("p", size), 1) for size in composition_of(sigma).parts)
     return NCPolynomial("p", {word: Fraction(1)})
 
 
@@ -237,10 +231,8 @@ def p_basis(sigma: Partition) -> NCPolynomial:
     (-1)^(|sigma| - |pi|) times the ordered word of block sizes of pi;
     coarsenings correspond to merging consecutive blocks of sigma.
     """
-    _require_interval(sigma)
-    if sigma.n > P_BASIS_MAX_DEGREE:
-        raise NCSymError(f"p_basis bound is degree {P_BASIS_MAX_DEGREE}")
-    sizes = sigma.block_sizes()
+    sizes = composition_of(sigma).parts
+    _integer(sigma.n, 1, "the p_basis degree", NCSymError, P_BASIS_MAX_DEGREE)
     r = len(sizes)
 
     def terms():
@@ -256,16 +248,8 @@ def p_basis(sigma: Partition) -> NCPolynomial:
 
 def _letter_count(degree: int, n_letters) -> int:
     """n_letters as an int, when it and the degree are within the expansion bounds."""
-    n_letters = _integer(n_letters, 1, "letters", NCSymError)
-    if n_letters > LETTER_EXPANSION_MAX_N:
-        raise NCSymError(
-            f"letters must be in 1..{LETTER_EXPANSION_MAX_N}, got {n_letters}"
-        )
-    if degree > LETTER_EXPANSION_MAX_DEGREE:
-        raise NCSymError(
-            f"total degree {degree} exceeds expansion bound "
-            f"{LETTER_EXPANSION_MAX_DEGREE}"
-        )
+    n_letters = _integer(n_letters, 1, "letters", NCSymError, LETTER_EXPANSION_MAX_N)
+    _integer(degree, 0, "the total degree", NCSymError, LETTER_EXPANSION_MAX_DEGREE)
     return n_letters
 
 
@@ -311,9 +295,7 @@ def stochastic_integral_poly(k: int) -> NCPolynomial:
     sum_(j=1..k) (-1)^(k-j) sum over compositions (m_1..m_j) of k of
     y_(m_1) ... y_(m_j).
     """
-    k = _integer(k, 1, "k", NCSymError)
-    if k > SERIES_MAX_ORDER:
-        raise NCSymError(f"k must be in 1..{SERIES_MAX_ORDER}, got {k}")
+    k = _integer(k, 1, "k", NCSymError, SERIES_MAX_ORDER)
     return NCPolynomial("y")._add_terms(
         (_normalize((("y", m), 1) for m in c.parts), Fraction((-1) ** (k - len(c.parts))))
         for c in compositions(k)
@@ -329,9 +311,7 @@ def psi_poly(n: int) -> NCPolynomial:
               X^(j) psi_(n-j-k),
     with X^(j) acting from the left, in the written order.
     """
-    n = _integer(n, 0, "n", NCSymError)
-    if n > SERIES_MAX_ORDER:
-        raise NCSymError(f"n must be in 0..{SERIES_MAX_ORDER}, got {n}")
+    n = _integer(n, 0, "n", NCSymError, SERIES_MAX_ORDER)
     psis = [NCPolynomial.one("X")]
     x1 = NCPolynomial.generator("X", ("X", 1))
     for m in range(1, n + 1):

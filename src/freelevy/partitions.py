@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .measures import _integer, _is_integer
+from .measures import _integer, _integers
 
 
 class PartitionError(ValueError):
@@ -113,10 +113,7 @@ class Composition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts or not all(_is_integer(p) and p >= 1 for p in parts):
-            raise PartitionError(f"composition parts must be integers >= 1, got {parts}")
-        self.parts = tuple(int(p) for p in parts)
+        self.parts = _integers(parts, 1, "composition parts", PartitionError)
 
     @property
     def degree(self) -> int:
@@ -205,11 +202,7 @@ def _nc_blocklists(length: int):
 
 def enumerate_nc(n: int) -> list:
     """All non-crossing partitions of {1..n}; |result| = catalan(n)."""
-    n = _integer(n, 1, "the ground set size", PartitionError)
-    if n > NC_ENUMERATION_BOUND:
-        raise PartitionError(
-            f"NC enumeration supports 1 <= n <= {NC_ENUMERATION_BOUND}, got {n}"
-        )
+    n = _integer(n, 1, "the ground set size", PartitionError, NC_ENUMERATION_BOUND)
     result = []
     for blocklist in _gap_lists(n):
         blocks = tuple(tuple(x + 1 for x in b) for b in blocklist)
@@ -222,11 +215,7 @@ def enumerate_nc(n: int) -> list:
 
 def enumerate_int(n: int) -> list:
     """All interval partitions of {1..n}; |result| = 2^(n-1)."""
-    n = _integer(n, 1, "the ground set size", PartitionError)
-    if n > INT_ENUMERATION_BOUND:
-        raise PartitionError(
-            f"Int enumeration supports 1 <= n <= {INT_ENUMERATION_BOUND}, got {n}"
-        )
+    n = _integer(n, 1, "the ground set size", PartitionError, INT_ENUMERATION_BOUND)
     return [c.to_partition() for c in compositions(n)]
 
 

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .cumulants import cumulants_to_moments, moments_to_cumulants
 from .measures import (
-    _exact_atom_moments, _floats, _integer, _is_integer, _is_real, _is_real_pairs, _rounded, dumps,
+    _exact_atom_moments, _floats, _integer, _integers, _is_integer, _is_real_pairs, _real, _rounded,
+    dumps,
 )
 from .ncsym import stochastic_integral_poly
 
@@ -82,8 +83,7 @@ class SimConfig:
         for name, least in (("d", 2), ("trials", 1), ("N", 1), ("k_max", 1)):
             setattr(self, name, _integer(getattr(self, name), least, name, SimError))
         for name in ("t", "lam") + (("alpha",) if self.alpha is not None else ()):
-            if not _is_real(getattr(self, name)):
-                raise SimError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            _real(getattr(self, name), name, SimError)
         if not _is_real_pairs(self.jump):
             raise SimError(f"jump must be [atom, mass] pairs of real numbers, got {self.jump!r}")
         if not (0 < self.t <= 1):
@@ -571,9 +571,7 @@ def _neighbor_distinct_sum(increments, k: int) -> np.ndarray:
 def verify_integral_identity(config: SimConfig, k: int = 2, threads: int = 1) -> SimReport:
     """Both sides of the k-fold integral identity on random Hermitian
     increments; an exact algebraic identity at every finite dimension."""
-    k = _integer(k, 1, "k", SimError)
-    if k > IDENTITY_MAX_K:
-        raise SimError(f"identity check bounded by k <= {IDENTITY_MAX_K}")
+    k = _integer(k, 1, "k", SimError, IDENTITY_MAX_K)
     poly = stochastic_integral_poly(k)
 
     def one_trial(trial):
@@ -609,6 +607,8 @@ def counterexample_rows(alpha: float, ns, t: float = 1.0) -> list:
     equals [2Nt]/N^2 + s/N^(1+alpha) * 2 + [2Nt]/N^(2 alpha) exactly, with
     s = -1 for odd counts and 0 for even, and grows like 2 t N^(1-2 alpha).
     """
+    _real(alpha, "alpha", SimError)
+    _real(t, "t", SimError)
     rows = []
     for n in ns:
         n = _integer(n, 1, "N", SimError)
@@ -676,13 +676,9 @@ def mixed_decay(
     "square-of-sum" is the infinitesimal counterexample: it reports the
     exact scalar quadratic sums for the config's alpha, which diverge like
     2 t N^(1 - 2 alpha)."""
-    if not _is_real(decay_threshold):
-        raise SimError(f"decay_threshold must be a real number, got {decay_threshold!r}")
-    if schedule is not None and not (
-        isinstance(schedule, (list, tuple)) and schedule
-        and all(_is_integer(n) and n > 0 for n in schedule)
-    ):
-        raise SimError(f"schedule must be a nonempty list of positive integers, got {schedule!r}")
+    _real(decay_threshold, "decay_threshold", SimError)
+    if schedule is not None:
+        schedule = _integers(schedule, 1, "schedule", SimError)
     if mode == "square-of-sum":
         if config.alpha is None:
             raise SimError("counterexample mode needs the alpha field")
@@ -699,7 +695,7 @@ def mixed_decay(
 
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
-    ns = [int(n) for n in schedule or _doubling_schedule(config.N)[1:] or [config.N]]
+    ns = list(schedule or _doubling_schedule(config.N)[1:] or [config.N])
     predicted = _rounded([_free_mixed_m2(*cumulants_to_moments(_step_cumulants(config, n, 2)),
                                          n, mode) for n in ns], "the predicted m2 overflows")
 

@@ -85,7 +85,7 @@ import math
 import numpy as np
 
 from .cumulants import cumulants_to_moments, free_joint_functional, moments_to_cumulants
-from .measures import DensityGrid, GridMeasure, MeasureError, _integer, _is_real, point_mass
+from .measures import DensityGrid, GridMeasure, MeasureError, _integer, _real, point_mass
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
 FIXED_POINT_TOL = 1e-10
@@ -434,10 +434,8 @@ def boxplus_power(obj, t, infinitely_divisible: bool = False, n_points: int = 30
     one atom (Bercovici & Voiculescu, 1998), so no law with several atoms
     meets the flag's precondition.
     """
-    if not _is_real(t):
-        raise TransformError(f"power must be a finite real, got {t!r}")
     n_points = _integer(n_points, 2, "n_points", TransformError)
-    if t <= 0:
+    if _real(t, "power", TransformError) <= 0:
         raise TransformError(f"power must be positive, got {t}")
     if t < 1 and not infinitely_divisible:
         raise TransformError(

@@ -327,7 +327,7 @@ def test_levy_rejects_a_lam_that_is_not_finite_before_writing(tmp_path, capsys):
     code, _, err = run(capsys, "levy", "to-pair", "--input", str(path),
                        "--out", str(out_dir / "pair.json"), "--lam", "nan")
     assert code == 2
-    assert err.startswith("error: --lam must be a finite number")
+    assert err.startswith("error: --lam must be a finite real number, got nan")
     assert not out_dir.exists()
 
 

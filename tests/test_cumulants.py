@@ -500,7 +500,7 @@ def test_power_sum_rejects_powers_below_one(powers):
                          ids=["fractional", "float", "bool"])
 def test_power_sum_rejects_powers_that_are_not_integers(powers):
     # a power is never truncated: (1.5, 1) once gave the (1, 1) cumulant
-    with pytest.raises(CumulantError, match="must be integers"):
+    with pytest.raises(CumulantError, match="^powers must be a nonempty list of integers >= 1"):
         power_sum_joint_cumulant(powers, [1, 2, 5, 14], 3)
 
 

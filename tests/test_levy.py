@@ -503,7 +503,7 @@ def test_bp_semicircle_family():
 @pytest.mark.parametrize("ns", [[0, 10], [10, -1], [10, 2.5], [True], []])
 def test_bp_check_rejects_scales_that_are_not_positive_ints(family, ns):
     # a scale of 0 divided by zero inside the families
-    with pytest.raises(LevyError, match="^ns must be a nonempty list of positive integers"):
+    with pytest.raises(LevyError, match="^ns must be a nonempty list of integers >= 1"):
         bp_limit_check(family, ns)
 
 
@@ -548,8 +548,8 @@ _GRID = {"lo": 0.0, "hi": 1.0, "h": 0.5, "values": [1.0, 1.0, 1.0]}
     [([1], LevyError, "JSON object with the key 'eta'"),
      ({"eta": 0.0, "rho": _RHO}, LevyError, "key 'a'"),
      ({"eta": 0.0, "a": 0.0}, LevyError, "key 'rho'"),
-     ({"eta": "0", "a": 0.0, "rho": _RHO}, LevyError, "^eta must be a real number"),
-     ({"eta": 0.0, "a": True, "rho": _RHO}, LevyError, "^a must be a real number"),
+     ({"eta": "0", "a": 0.0, "rho": _RHO}, LevyError, "^eta must be a finite real number"),
+     ({"eta": 0.0, "a": True, "rho": _RHO}, LevyError, "^a must be a finite real number"),
      ({"eta": 0.0, "a": 0.0, "rho": [1]}, MeasureError, "^rho must be a JSON object"),
      ({"eta": 0.0, "a": 0.0, "rho": {"atoms": [[1.0]]}}, MeasureError, "^rho atoms"),
      ({"eta": 0.0, "a": 0.0, "rho": {"atoms": [1.0, 1.0]}}, MeasureError, "^rho atoms"),
@@ -570,7 +570,7 @@ def test_triple_from_json_names_the_bad_key(data, error, message):
 @pytest.mark.parametrize(
     "data, error, message",
     [({"sigma": _RHO}, LevyError, "key 'gamma'"),
-     ({"gamma": [0.0], "sigma": _RHO}, LevyError, "^gamma must be a real number"),
+     ({"gamma": [0.0], "sigma": _RHO}, LevyError, "^gamma must be a finite real number"),
      ({"gamma": 0.0, "sigma": [1]}, MeasureError, "^sigma must be a JSON object"),
      ({"gamma": 0.0, "sigma": {"atoms": [[0.0, 1.0, 2.0]]}}, MeasureError, "^sigma atoms")],
 )

@@ -151,7 +151,8 @@ def test_composition_bijection():
                          ids=["fractional", "float", "bool", "string"])
 def test_composition_rejects_parts_that_are_not_integers(parts):
     # a part is never truncated: 1.5 once became 1
-    with pytest.raises(PartitionError, match="must be integers"):
+    with pytest.raises(PartitionError,
+                       match="^composition parts must be a nonempty list of integers >= 1"):
         Composition(parts)
 
 

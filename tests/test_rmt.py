@@ -900,7 +900,9 @@ def test_mixed_decay_rejects_a_schedule_entry_that_is_not_a_positive_int(
 @pytest.mark.parametrize("campaign", [verify_variation, verify_integral_identity])
 @pytest.mark.parametrize("k", [2.5, True, "2"])
 def test_campaign_rejects_a_k_that_is_not_an_int(campaign, k):
-    with pytest.raises(SimError, match=f"^k must be an integer >= 1, got {re.escape(repr(k))}$"):
+    span = "in 1..5" if campaign is verify_integral_identity else ">= 1"
+    message = f"k must be an integer {span}, got {k!r}"
+    with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
         campaign(small_config(d=4, trials=2, N=4), k)
 
 
@@ -908,7 +910,7 @@ def test_campaign_rejects_a_k_that_is_not_an_int(campaign, k):
 @pytest.mark.parametrize("threshold", [True, "0.5", None])
 def test_mixed_decay_rejects_a_decay_threshold_that_is_not_real(mode, threshold):
     cfg = small_config(d=4, trials=2, N=4, alpha=0.25)
-    with pytest.raises(SimError, match="^decay_threshold must be a real number"):
+    with pytest.raises(SimError, match="^decay_threshold must be a finite real number"):
         mixed_decay(cfg, mode, decay_threshold=threshold)
 
 
