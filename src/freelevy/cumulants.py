@@ -7,7 +7,8 @@ order: m_n = sum_(s<=n) kappa_s [z^(n-s)] M(z)^s. Each order needs only the
 coefficients [z^j] M(z)^s with s + j <= n, so n orders cost O(n^3)
 arithmetic operations and there is no bound on n.
 
-When every input is an int or a Fraction, the recursion runs on integers:
+When every input is an int or a Fraction (numpy integers are read as
+Python ints, `measures._exact`), the recursion runs on integers:
 input n is multiplied by c^n and output n divided by c^n once at the end.
 This is exact because the formula is homogeneous under the dilation
 kappa_s -> c^s kappa_s, m_n -> c^n m_n, and the recursion only adds,
@@ -27,10 +28,16 @@ moments form only label-constant partitions. When every moment of every
 label is an int or a Fraction, the joint moments run on integers by the
 same rule, one factor c_l per label: a word's value is homogeneous of degree
 count_l(w) in label l's dilation, so it is divided once, by the product of
-c_l^count_l(w). transforms.py builds its free sum on the conversions and
-its free product on the joint moments. Everything is exact when fed ints or
-fractions.Fraction; floats pass through unchanged when that is what the
-caller supplies.
+c_l^count_l(w). `power_sum_joint_cumulant` runs the mixed cumulant on the
+integers c^j m_j by the same rule and divides once, by c^(sum of powers).
+
+Every exact moment chain takes one integer scale from `_scaled` and divides
+each output once, with `_unscaled`: transforms.py's free sum puts both laws
+on one factor and adds their integer cumulants, its free product solves an
+alternating-word system on each law's integer cumulants, and rmt.py's
+references run their conversions on the scaled step cumulants. Everything
+is exact when fed ints or fractions.Fraction; floats pass through unchanged
+when that is what the caller supplies.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .measures import _integer, _integers, _real
+from .measures import _exact, _integer, _integers, _real
 
 
 class CumulantError(ValueError):
@@ -80,30 +87,36 @@ def _convert(values, to_cumulants: bool) -> list:
     """Run `_recursion` on integers when every value is an int or Fraction
     (the rescaling and the output types are in the module docstring)."""
     _check_length(len(values))
-    if not _exact(values):
+    exact = _exact(values)
+    if exact is None:
         return _recursion(values, to_cumulants)
-    scaled, c, first = _scaled(values)
-    out, scale = [], 1
-    for n, r in enumerate(_recursion(scaled, to_cumulants), 1):
-        scale *= c
-        out.append(Fraction(r, scale) if n > first else r // scale)
-    return out
+    scaled, c, first = _scaled(exact)
+    return _unscaled(_recursion(scaled, to_cumulants), c, first)
 
 
-def _exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def _scaled(values) -> tuple:
-    """The ints c^n v_n of exact values v_1, v_2, ..., the factor c of
-    `_dilation` and the index of the first Fraction (len(values) if none)."""
-    c = _dilation(values)
+def _scaled(values, c=None) -> tuple:
+    """The ints c^n v_n of exact values v_1, v_2, ..., the factor c (that of
+    `_dilation` unless one with den(v_n) | c^n is given) and the index of the
+    first Fraction (len(values) if none)."""
+    if c is None:
+        c = _dilation(values)
     first = next((i for i, v in enumerate(values) if isinstance(v, Fraction)), len(values))
     scaled, scale = [], 1
     for v in values:
         scale *= c
         scaled.append(v.numerator * (scale // v.denominator))
     return scaled, c, first
+
+
+def _unscaled(values, c: int, first: int) -> list:
+    """Output n of a chain run on the scale c, divided once by c^n: a Fraction
+    when n > first, the index of the first Fraction among the inputs, and an
+    int otherwise."""
+    out, scale = [], 1
+    for n, r in enumerate(values, 1):
+        scale *= c
+        out.append(Fraction(r, scale) if n > first else r // scale)
+    return out
 
 
 def _dilation(values) -> int:
@@ -227,10 +240,11 @@ def free_joint_functional(moments_by_label):
     the values as given.
     """
     laws = {label: list(m) for label, m in moments_by_label.items()}
-    if not all(_exact(m) for m in laws.values()):
+    exact = {label: _exact(m) for label, m in laws.items()}
+    if None in exact.values():
         return _FreeJoint({label: moments_to_cumulants(m) for label, m in laws.items()})
     cumulants, scales = {}, {}
-    for label, m in laws.items():
+    for label, m in exact.items():
         _check_length(len(m))
         scaled, c, first = _scaled(m)
         cumulants[label], scales[label] = _recursion(scaled, True), (c, first)
@@ -288,13 +302,32 @@ def power_sum_joint_cumulant(powers, moments, count):
     across distinct summands vanish. Also returns the defect
     count * (R(...) - m_(u(1)+...+u(k))), the quantity whose vanishing in the
     limit drives joint convergence of the variation tuple.
+
+    Ints and Fractions run on the integers c^j m_j (`_scaled`), and both
+    values are divided once, by c^(u(1)+...+u(k)): they are Fractions when
+    a moment the recursion reads is one, and ints otherwise. A float among
+    the moments it may read runs it on the values as given.
     """
     powers = _integers(powers, 1, "powers", CumulantError)
     count = _integer(count, 1, "count", CumulantError)
-    tau = word_functional_from_moments(moments)
+    moments, degree = list(moments), sum(powers)
+    exact = _exact(moments[:degree])
+    scaled, c, _ = (moments, 1, 0) if exact is None else _scaled(exact)
+    tau = word_functional_from_moments(scaled)
     # tau rejects a word beyond the supplied moments
     r_one = mixed_free_cumulant(powers, tau)
-    return count * r_one, count * (r_one - tau(powers))
+    values = count * r_one, count * (r_one - tau(powers))
+    if exact is None:
+        return values
+    # R is homogeneous of degree sum(powers) under m_j -> c^j m_j, and reads
+    # m_j for each sum j of a nonempty subsequence of the powers
+    sums = {0}
+    for u in powers:
+        sums |= {j + u for j in sums}
+    den = c**degree
+    if any(isinstance(exact[j - 1], Fraction) for j in sums - {0}):
+        return tuple(Fraction(v, den) for v in values)
+    return tuple(v // den for v in values)
 
 
 def free_poisson_moments(lam, n: int) -> list:

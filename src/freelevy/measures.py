@@ -2,8 +2,10 @@
 
 Atom locations and masses are plain Python numbers and may be exact
 (int/Fraction); operations that only touch atoms stay exact when the inputs
-are exact. Density values live on a uniform grid and integrate by the
-trapezoid rule.
+are exact. A measure reads numpy integers as Python ints when it is built,
+so an atom's powers cannot wrap at 64 bits, and `_exact` reads them so for
+every exact path of the library. Density values live on a uniform grid and
+integrate by the trapezoid rule.
 
 `GridMeasure.moments(n)` takes all n atom moments in one pass when every
 atom location and mass is an int or a Fraction: with Q and S the lcm of the
@@ -11,7 +13,7 @@ location and the mass denominators, sum m x^k is the integer
 sum (S m) (Q x)^k over S Q^k, and the integer powers are running products.
 Order k is an int when every atom is, and a Fraction otherwise, as
 `moment(k)` gives; the grid part is added per order as `moment(k)` adds it.
-Atoms of any other type (float, bool, numpy) take `moment(k)` per order.
+Atoms of any other type (a float, say) take `moment(k)` per order.
 
 JSON schema (field names are part of the external interface):
 {"atoms": [[x, m], ...], "grid": {"lo": ..., "hi": ..., "h": ..., "values": [...]}}
@@ -104,6 +106,21 @@ def _integers(values, least: int, what: str, error) -> tuple:
     return tuple(int(v) for v in values)
 
 
+def _read(value):
+    """value itself, but a numpy integer as a Python int, which cannot wrap at 64 bits."""
+    if isinstance(value, (int, Fraction)) or not isinstance(value, numbers.Integral):
+        return value
+    return int(value)
+
+
+def _exact(values) -> list | None:
+    """values as a list of ints and Fractions, numpy integers read as ints
+    (`_read`), or None when one is anything else, a float say. The one test
+    of the exact paths."""
+    values = [_read(v) for v in values]
+    return values if all(isinstance(v, (int, Fraction)) for v in values) else None
+
+
 def _is_real(value) -> bool:
     """True for finite Python and numpy reals (Fractions too); False for bools and all else."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -173,22 +190,35 @@ class DensityGrid:
         return cls(float(lo), float(hi), float(xs[1] - xs[0]), np.clip(fn(xs), 0, None))
 
 
-def _exact_atom_moments(atoms, n: int):
-    """sum(m * x**k) over the atoms for k = 1..n, or None unless every location
-    and mass is an int or a Fraction."""
-    types = {type(v) for atom in atoms for v in atom}
-    if not types <= {int, Fraction}:
-        return None
+def _atom_power_sums(atoms, n: int) -> tuple:
+    """(sums, s, q) for atoms whose locations and masses are ints and
+    Fractions: with q and s the lcm of the location and the mass
+    denominators, sum m x^k is sums[k-1] / (s q^k), sums[k-1] the integer
+    sum (s m) (q x)^k, k = 1..n, and the integer powers are running products."""
     q = math.lcm(*(x.denominator for x, _ in atoms))
     s = math.lcm(*(m.denominator for _, m in atoms))
     locs = [x.numerator * (q // x.denominator) for x, _ in atoms]
     powers = [m.numerator * (s // m.denominator) for _, m in atoms]
-    out, den = [], s
+    sums = []
     for _ in range(n):
         powers = [p * x for p, x in zip(powers, locs)]
+        sums.append(sum(powers))
+    return sums, s, q
+
+
+def _exact_atom_moments(atoms, n: int):
+    """sum(m * x**k) over the atoms for k = 1..n, or None unless every location
+    and mass is an int or a Fraction."""
+    values = _exact(v for atom in atoms for v in atom)
+    if values is None:
+        return None
+    sums, den, q = _atom_power_sums(list(zip(values[::2], values[1::2])), n)
+    if not any(isinstance(v, Fraction) for v in values):
+        return sums
+    out = []
+    for total in sums:
         den *= q
-        total = sum(powers)
-        out.append(Fraction(total, den) if Fraction in types else total)
+        out.append(Fraction(total, den))
     return out
 
 
@@ -200,6 +230,7 @@ class GridMeasure:
     def __post_init__(self):
         cleaned = []
         for loc, mass in self.atoms:
+            loc, mass = _read(loc), _read(mass)
             if mass < 0:
                 raise MeasureError(f"negative atom mass {mass} at {loc}")
             if mass != 0:

@@ -73,19 +73,26 @@ Numeric conventions, fixed here and relied on by the tests:
 
 Every density output (free convolutions, powers, stieltjes_density) goes
 through one Richardson inversion. The moment-level free sum adds free
-cumulants, and the free product is the word (ab)^n in the joint moment
-functional of cumulants.py; neither has an order bound.
+cumulants, and the free product solves the alternating-word system
+A = 1 + R_a(zC), C = A R_b(zD) / (zD), D = A R_a(zC) / (zC) for
+A_n = tau((ab)^n), C_g = tau(b (ab)^g) and D_h = tau(a (ba)^h) order by
+order; neither has an order bound. On exact inputs both run on integer
+cumulants (the sum on one factor for both laws, the product on one per
+law) and divide each moment once, at the end.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
-from .cumulants import cumulants_to_moments, free_joint_functional, moments_to_cumulants
-from .measures import DensityGrid, GridMeasure, MeasureError, _integer, _real, point_mass
+from .cumulants import (
+    _dilation, _recursion, _scaled, _unscaled, cumulants_to_moments, moments_to_cumulants,
+)
+from .measures import DensityGrid, GridMeasure, MeasureError, _exact, _integer, _real, point_mass
 
 INVERSION_EPSILONS = (1e-2, 5e-3, 2.5e-3)
 FIXED_POINT_TOL = 1e-10
@@ -495,25 +502,75 @@ def dilate(mu: GridMeasure, s) -> GridMeasure:
 def free_multiply_moments(ma, mb, n: int) -> list:
     """First n moments tau((ab)^m) of the product ab of free a, b.
 
-    Each is the joint moment of the word (ab)^m under the free joint moment
-    functional; for a >= 0 these are the moments of a^(1/2) b a^(1/2).
+    For a >= 0 these are the moments of a^(1/2) b a^(1/2). They solve the
+    alternating-word system of `_alternating_moments` on the free cumulants
+    of a and b: integers c_a^s kappa_s(a) and c_b^s kappa_s(b) when every
+    moment is an int or a Fraction, with moment m divided once by
+    (c_a c_b)^m, and the cumulants as the conversions give them otherwise.
     Exact for exact inputs, with no bound on n.
     """
     ma, mb, n = list(ma), list(mb), _integer(n, 1, "n", TransformError)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each factor")
-    tau = free_joint_functional({"a": ma[:n], "b": mb[:n]})
-    return [tau(("a", "b") * order) for order in range(1, n + 1)]
+    ma, mb = ma[:n], mb[:n]
+    exact_a, exact_b = _exact(ma), _exact(mb)
+    if exact_a is None or exact_b is None:
+        return _alternating_moments(moments_to_cumulants(ma), moments_to_cumulants(mb))
+    (sa, ca, fa), (sb, cb, fb) = _scaled(exact_a), _scaled(exact_b)
+    moments = _alternating_moments(_recursion(sa, True), _recursion(sb, True))
+    return _unscaled(moments, ca * cb, min(fa, fb))
+
+
+def _alternating_moments(ka, kb) -> list:
+    """A_1..A_n, A_m = tau((ab)^m), for free a and b with the free cumulants
+    ka and kb, n of each (Nica & Speicher, Lectures on the Combinatorics of
+    Free Probability, Lecture 14).
+
+    With C_g = tau(b (ab)^g) and D_h = tau(a (ba)^h), the block of a word's
+    first letter gives A = 1 + R_a(zC), C = A R_b(zD) / (zD) and
+    D = A R_a(zC) / (zC): the gaps of a block of a are words b (ab)^g and
+    those of a block of b words a (ba)^h, and a tail (ba)^t is worth A_t,
+    the state being tracial. So with E = R_a(zC) / (zC) and
+    F = R_b(zD) / (zD), order j takes E_j and F_j from the powers of C and D
+    to z^(j-1), then C_j, D_j and A_(j+1), as `_recursion` does. It adds and
+    multiplies only, so integer cumulants give integer moments.
+    """
+    a_moments, c_series, d_series, e_series, f_series = [1], [], [], [], []
+    c_powers, d_powers = [[1]], [[1]]  # [z^i] C^t and [z^i] D^t, by t
+    for j in range(len(ka)):
+        for series, powers in ((c_series, c_powers), (d_series, d_powers)):
+            if j:
+                powers[0].append(0)
+                powers.append([])
+            for t in range(1, j + 1):
+                i = j - t
+                powers[t].append(sum(map(operator.mul, series[: i + 1], powers[t - 1][i::-1])))
+        e_series.append(sum(ka[t] * c_powers[t][j - t] for t in range(j + 1)))
+        f_series.append(sum(kb[t] * d_powers[t][j - t] for t in range(j + 1)))
+        c_series.append(sum(map(operator.mul, a_moments, reversed(f_series))))
+        d_series.append(sum(map(operator.mul, a_moments, reversed(e_series))))
+        a_moments.append(sum(map(operator.mul, c_series, reversed(e_series))))
+    return a_moments[1:]
 
 
 def free_convolve_moments(ma, mb, n: int) -> list:
     """First n moments of a + b for free a, b: free cumulants add, so these are
-    cumulants_to_moments(kappa(a) + kappa(b)). Exact for exact inputs, no bound on n."""
+    cumulants_to_moments(kappa(a) + kappa(b)). When every moment is an int or
+    a Fraction, both laws are scaled by one factor c (den(m_j) | c^j for
+    each), their integer cumulants added and moment j divided once by c^j.
+    Exact for exact inputs, no bound on n."""
     ma, mb, n = list(ma), list(mb), _integer(n, 1, "n", TransformError)
     if len(ma) < n or len(mb) < n:
         raise TransformError("need at least n moments of each summand")
-    ka, kb = moments_to_cumulants(ma[:n]), moments_to_cumulants(mb[:n])
-    return cumulants_to_moments([x + y for x, y in zip(ka, kb)])
+    ma, mb = ma[:n], mb[:n]
+    exact_a, exact_b = _exact(ma), _exact(mb)
+    if exact_a is None or exact_b is None:
+        ka, kb = moments_to_cumulants(ma), moments_to_cumulants(mb)
+        return cumulants_to_moments([x + y for x, y in zip(ka, kb)])
+    c = math.lcm(_dilation(exact_a), _dilation(exact_b))
+    (sa, _, fa), (sb, _, fb) = _scaled(exact_a, c), _scaled(exact_b, c)
+    kappas = [x + y for x, y in zip(_recursion(sa, True), _recursion(sb, True))]
+    return _unscaled(_recursion(kappas, False), c, min(fa, fb))
 
 
 def stieltjes_density(mu: GridMeasure, xs) -> np.ndarray:

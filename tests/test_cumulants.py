@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,8 +225,10 @@ def test_dilation_factor_stays_small_for_moments_of_atoms_on_thirds():
     assert _dilation([Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), 5]) == 8
 
 
-def test_exact_conversions_do_linear_fraction_arithmetic(monkeypatch):
-    # ints and Fractions are solved on integers: a Fraction only per output
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """The names of the Fraction operations (construction and arithmetic) made
+    while a test runs, in a list the test may clear."""
     calls = []
 
     def counting(name, op):
@@ -235,10 +238,16 @@ def test_exact_conversions_do_linear_fraction_arithmetic(monkeypatch):
 
         return staticmethod(wrapped) if name == "__new__" else wrapped
 
-    values = [Fraction(n, n + 1) for n in range(1, 25)] + [Fraction(-3, 7)] * 8
     for name in ["__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__pow__", "__neg__"]:
         monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_exact_conversions_do_linear_fraction_arithmetic(fraction_ops):
+    # ints and Fractions are solved on integers: a Fraction only per output
+    calls = fraction_ops
+    values = [Fraction(n, n + 1) for n in range(1, 25)] + [Fraction(-3, 7)] * 8
     for convert in (moments_to_cumulants, cumulants_to_moments):
         calls[:] = []
         convert(values)
@@ -251,6 +260,65 @@ def test_exact_conversions_do_linear_fraction_arithmetic(monkeypatch):
     calls[:] = []
     free_multiply_moments(ma, mb, 12)
     assert len(calls) <= 12, len(calls)
+
+
+def test_exact_chains_divide_once_at_their_outputs(fraction_ops, monkeypatch):
+    # the free sum, the power-sum cumulants and the campaign references run on
+    # one integer scale: a Fraction per output, and none past the references'
+    # step cumulants, which they round straight from integers
+    from freelevy import rmt
+    from freelevy.transforms import free_convolve_moments
+
+    ma = [Fraction(n, n + 2) for n in range(1, 13)]
+    mb = [Fraction(-n * n, 7) for n in range(1, 13)]
+    fraction_ops.clear()
+    free_convolve_moments(ma, mb, 12)
+    assert len(fraction_ops) <= 12, len(fraction_ops)
+    fraction_ops.clear()
+    power_sum_joint_cumulant((1, 2, 1, 2), ma, 5)
+    assert len(fraction_ops) <= 2, len(fraction_ops)
+
+    step_cumulants = rmt._step_cumulants
+
+    def counted_after(*args):
+        out = step_cumulants(*args)
+        fraction_ops.clear()
+        return out
+
+    monkeypatch.setattr(rmt, "_step_cumulants", counted_after)
+    cfg = rmt.SimConfig(d=2, trials=1, master_seed=0, N=37, t=0.75, lam=0.625,
+                        jump=[[-1.5, 0.25], [0.5, 0.75]])
+    for reference in (rmt.finite_n_power_sum_moments, rmt.predicted_variation_moments):
+        for k, orders in ((1, 8), (2, 6), (3, 4)):
+            fraction_ops.clear()
+            reference(cfg, k, orders)
+            assert fraction_ops == [], (reference.__name__, k, fraction_ops)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_numpy_integers_run_on_python_ints(dtype):
+    # numpy's integers wrap (cumulants_to_moments([np.int64(3)] * 30) once
+    # gave a negative m_30): every exact path reads them as Python ints
+    values = [3, -1, 2, 0, 5, 1, -4, 2, 3] * 5
+    for n in (30, 45):
+        wrapped = [dtype(v) for v in values[:n]]
+        for convert in (cumulants_to_moments, moments_to_cumulants):
+            got, want = convert(wrapped), convert(values[:n])
+            assert got == want and all(type(v) is int for v in got), convert.__name__
+    assert cumulants_to_moments([dtype(3)] * 30)[-1] == 918126024293352982017504
+    from freelevy.transforms import free_convolve_moments, free_multiply_moments
+
+    ma, mb = values[:12], values[3:15]
+    wa, wb = [dtype(v) for v in ma], [dtype(v) for v in mb]
+    for got, want in [
+        (free_multiply_moments(wa, wb, 12), free_multiply_moments(ma, mb, 12)),
+        (free_convolve_moments(wa, wb, 12), free_convolve_moments(ma, mb, 12)),
+        (list(power_sum_joint_cumulant((2, 3, 2, 3), wa, 7)),
+         list(power_sum_joint_cumulant((2, 3, 2, 3), ma, 7))),
+        ([free_joint_functional({"a": wa, "b": wb})(("a", "b", "b") * 4)],
+         [free_joint_functional({"a": ma, "b": mb})(("a", "b", "b") * 4)]),
+    ]:
+        assert got == want and all(type(v) is int for v in got)
 
 
 def test_output_types():
@@ -483,6 +551,34 @@ def test_power_sum_joint_cumulant_of_ten_powers():
     total, defect = power_sum_joint_cumulant((1,) * 10, moments, 7)
     assert total == 7 * lam
     assert defect == 7 * (lam - moments[9])
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "float", "float_and_exact"])
+def test_power_sum_joint_cumulant_is_the_recursion_on_the_moments(kind):
+    # exact moments run on the integers c^j m_j and are divided once: the
+    # values and types are mixed_free_cumulant's on the moments themselves
+    rng = random.Random(34)
+
+    def value():
+        choice = {"int": 0, "fraction": 1, "float": 2, "mixed": rng.randint(0, 1),
+                  "float_and_exact": rng.randint(0, 2)}[kind]
+        return [rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                rng.uniform(-2.0, 2.0)][choice]
+
+    joint_powers = [(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2)]
+    words = joint_powers + [tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
+                            for _ in range(40)]
+    for powers in words:
+        moments, count = [value() for _ in range(sum(powers))], rng.randint(1, 9)
+        tau = word_functional_from_moments(moments)
+        r_one = mixed_free_cumulant(powers, tau)
+        want = (count * r_one, count * (r_one - tau(powers)))
+        got = power_sum_joint_cumulant(powers, moments, count)
+        assert got == want and [type(g) for g in got] == [type(w) for w in want], (powers, moments)
+    # the recursion reads only the m_j at sums of the powers: (2, 2) stays an
+    # int when m_1 and m_3 are Fractions, R = m_4 - m_2^2
+    got = power_sum_joint_cumulant((2, 2), [Fraction(1, 2), 3, Fraction(1, 3), 5], 2)
+    assert got == (-8, -18) and all(type(v) is int for v in got)
 
 
 def test_power_sum_insufficient_moments():

@@ -50,3 +50,16 @@ def test_density_floor_is_relative_to_the_largest_value(j):
         DensityGrid(0.0, 4 * c, c, np.array(law + [-1e-3]) / c)
     with pytest.raises(MeasureError, match="nonnegative"):  # nothing positive to scale by
         DensityGrid(0.0, 2 * c, c, np.array([0.0, 0.0, -1e-300]) / c)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_numpy_integer_atoms_are_python_ints(dtype):
+    # 3^45 and its neighbours leave int64: a measure reads numpy integers as
+    # ints, so moment(45) once wrapped to 2833654757305440083
+    atoms = [(3, 1), (-2, 5), (7, 2)]
+    mu = GridMeasure([(dtype(x), dtype(m)) for x, m in atoms])
+    assert GridMeasure([(dtype(3), dtype(1))]).moment(45) == 3**45
+    for n in (30, 45):
+        want = [sum(m * x**k for x, m in atoms) for k in range(1, n + 1)]
+        for got in (mu.moments(n), [mu.moment(k) for k in range(1, n + 1)]):
+            assert got == want and all(type(v) is int for v in got)

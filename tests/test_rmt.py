@@ -543,6 +543,30 @@ def _exact_step_law(cfg, n):
     return delta, lambda j: sum(Fraction(m) * Fraction(x) ** j for x, m in cfg.jump)
 
 
+def _three_conversion_chain(cfg, k, orders):
+    """The pre-limit law's moments, each conversion on its own: the step's
+    moments from its exact cumulants, the cumulants of every k-th, N times
+    those back to moments, rounded once."""
+    delta, mu = _exact_step_law(cfg, cfg.N)
+    step = cumulants_to_moments([delta * mu(j) for j in range(1, orders * k + 1)])
+    pushed = moments_to_cumulants(step[k - 1 :: k])
+    return [float(m) for m in cumulants_to_moments([cfg.N * c for c in pushed])]
+
+
+def test_finite_n_reference_is_the_three_conversion_chain():
+    # on one integer scale the chain is the same exact value, rounded once,
+    # on binary-exact jumps, rates and times as the benchmark draws them
+    rng = random.Random(34)
+    locations = [-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]
+    for _ in range(300):
+        (x, y), mass = rng.sample(locations, 2), rng.choice([0.25, 0.5, 0.75])
+        cfg = small_config(N=rng.randrange(1, 65), t=rng.choice([0.5, 0.75, 1.0]),
+                           lam=rng.choice([0.25, 0.5, 0.75, 1.0]), jump=[[x, mass], [y, 1 - mass]])
+        for k, orders in [(1, 5), (2, 5), (2, 6), (3, 3), (3, 4), (4, 2)]:
+            got = rmt.finite_n_power_sum_moments(cfg, k, orders)
+            assert got == _three_conversion_chain(cfg, k, orders), (cfg, k, orders)
+
+
 def test_references_are_their_exact_values_rounded_once(monkeypatch):
     # each reference is float() of its exact value on the floats' exact
     # values, computed here apart: the closed form lam t int x^(kj), the
@@ -553,11 +577,7 @@ def test_references_are_their_exact_values_rounded_once(monkeypatch):
             delta, mu = _exact_step_law(cfg, 1)
             limit = cumulants_to_moments([delta * mu(k * j) for j in range(1, 5)])
             assert predicted_variation_moments(cfg, k, 4) == [float(m) for m in limit]
-            delta, mu = _exact_step_law(cfg, cfg.N)
-            step = cumulants_to_moments([delta * mu(j) for j in range(1, 4 * k + 1)])
-            pushed = moments_to_cumulants(step[k - 1 :: k])
-            finite = cumulants_to_moments([cfg.N * c for c in pushed])
-            assert rmt.finite_n_power_sum_moments(cfg, k, 4) == [float(m) for m in finite]
+            assert rmt.finite_n_power_sum_moments(cfg, k, 4) == _three_conversion_chain(cfg, k, 4)
         schedule = [1, 3, 8, 64]
         monkeypatch.setattr(rmt, "_run_trials", lambda fn, trials, threads: [[1.0] * 4] * trials)
         for mode in ("anticommutator", "product"):

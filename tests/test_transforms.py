@@ -782,6 +782,47 @@ def test_free_multiply_moments_matches_the_kreweras_sum(kind, monkeypatch):
                 assert g == w and type(g) is Fraction, (order, g, w)
 
 
+def _exact_law(rng, n, kind):
+    def value():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    return [value() for _ in range(n)]
+
+
+def test_free_multiply_moments_is_the_joint_functional_on_the_words():
+    # the alternating-word system gives tau((ab)^n) of the first-block
+    # recursion, equal and of the same type, on ints, Fractions and mixes
+    rng = random.Random(34)
+    for trial in range(200):
+        n, kind = rng.randint(1, 12), ("int", "fraction", "mixed")[trial % 3]
+        ma, mb = _exact_law(rng, n, kind), _exact_law(rng, n, kind)
+        tau = free_joint_functional({"a": ma, "b": mb})
+        want = [tau(("a", "b") * m) for m in range(1, n + 1)]
+        got = free_multiply_moments(ma, mb, n)
+        assert got == want and [type(g) for g in got] == [type(w) for w in want], (ma, mb)
+
+
+def test_alternating_words_satisfy_the_product_system():
+    # the identities free_multiply_moments rests on, on the first-block
+    # recursion's words: tau((ba)^n) = tau((ab)^n) (the state is tracial) and
+    # A (A - 1) = z C D for A_n = tau((ab)^n), C_g = tau(b (ab)^g) and
+    # D_h = tau(a (ba)^h)
+    rng = random.Random(3434)
+    for trial in range(100):
+        n = rng.randint(1, 9)
+        ma, mb = _exact_law(rng, n, "mixed"), _exact_law(rng, n, "mixed")
+        tau = free_joint_functional({"a": ma, "b": mb})
+        a_series = [1] + [tau(("a", "b") * m) for m in range(1, n + 1)]
+        assert a_series[1:] == [tau(("b", "a") * m) for m in range(1, n + 1)], (ma, mb)
+        c_series = [tau(("b",) + ("a", "b") * g) for g in range(n)]
+        d_series = [tau(("a",) + ("b", "a") * h) for h in range(n)]
+        for m in range(1, n + 1):
+            lhs = sum(a_series[i] * a_series[m - i] for i in range(m))
+            assert lhs == sum(c_series[g] * d_series[m - 1 - g] for g in range(m)), (ma, mb, m)
+
+
 def test_free_multiply_moments_above_the_old_bound():
     # MP(1) boxtimes MP(1) has the Fuss-Catalan moments C(3n, n) / (2n + 1)
     n = 16
