@@ -61,6 +61,18 @@ def _rounded(values, what: str) -> list:
         return [float(v) for v in values]
 
 
+def _rounded_over(values, c: int, what: str) -> list:
+    """The ints values[n-1] over c^n, each rounded once: int true division
+    rounds correctly, as float() of the Fraction does; `_floats(what)`
+    reports an overflow."""
+    out, scale = [], 1
+    with _floats(what):
+        for value in values:
+            scale *= c
+            out.append(value / scale)
+    return out
+
+
 def _non_finite_field(value, path: str = "") -> str | None:
     """The path of the first non-finite float in a JSON value, or None."""
     if isinstance(value, float):

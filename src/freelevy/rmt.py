@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .cumulants import _recursion
 from .measures import (
-    _atom_power_sums, _floats, _integer, _integers, _is_integer, _is_real_pairs, _real, dumps,
+    _atom_power_sums, _floats, _integer, _integers, _is_integer, _is_real_pairs, _real, _rounded,
+    _rounded_over, dumps,
 )
 from .ncsym import stochastic_integral_poly
 
@@ -420,59 +421,37 @@ def _run_trials(fn, trials: int, threads: int):
 
 
 def _step_cumulants(config: SimConfig, n: int, orders: int) -> tuple:
-    """(ints, c): the ints c^j kappa_j for the free cumulants
-    kappa_j = delta int x^j d jump, j = 1..orders, of one step of an n-step
-    grid of [0, t] (free compound Poisson of rate delta = lam t / n), and the
-    factor c. lam, t, the atoms and the masses enter as the exact values of
-    their floats, so every reference built on these is exact until it is
-    rounded once, at its output. With int x^j d jump = sums_j / (s q^j) and
-    g = den(delta) s, c = g q makes c^j kappa_j = num(delta) sums_j g^(j-1)."""
+    """The free cumulants kappa_j = delta int x^j d jump, j = 1..orders, of one
+    step of an n-step grid of [0, t] (free compound Poisson of rate
+    delta = lam t / n), as the ints c^j kappa_j and c, from the exact values
+    of the config's floats: with int x^j d jump = sums_j / (s q^j) and
+    g = den(delta) s, c = g q gives c^j kappa_j = num(delta) sums_j g^(j-1)."""
     delta = Fraction(config.lam) * Fraction(config.t) / n
-    jump = [(Fraction(x), Fraction(mass)) for x, mass in config.jump]
-    sums, s, q = _atom_power_sums(jump, orders)
+    sums, s, q = _atom_power_sums([(Fraction(x), Fraction(m)) for x, m in config.jump], orders)
     g = delta.denominator * s
-    scaled, scale = [], delta.numerator
-    for total in sums:
-        scaled.append(total * scale)
-        scale *= g
-    return scaled, g * q
+    return [total * delta.numerator * g ** (j - 1) for j, total in enumerate(sums, 1)], g * q
 
 
 def _power_sum_moments(runs, c: int, k: int, orders: int) -> list:
-    """Moments 1..orders of sum_i x_i^k, rounded once, for free steps x_i given
-    as runs (ints, count): count steps whose free cumulants of orders
-    1..k orders are ints / c^j, as `_step_cumulants` gives them. Moment j of
-    a step is then scaled by c^j, so its every k-th moment i by (c^k)^i: the
-    conversions to and from cumulants, the sum over the steps (count times
-    each run's) and the last conversion all run on ints, and moment i is
-    divided once, by c^(k i)."""
+    """Moments 1..orders of sum_i x_i^k for free steps given as runs (ints,
+    count) on `_step_cumulants`' scale c: moment j of a step is scaled by
+    c^j, so its every k-th moment i by (c^k)^i, and the conversions and the
+    sum of count times each run's cumulants all run on ints."""
     total = [0] * orders
     for scaled, count in runs:
         pushed = _recursion(_recursion(scaled, False)[k - 1 :: k], True)
         total = [t + count * p for t, p in zip(total, pushed)]
-    moments = _recursion(total, False)
-    return _rounded_ratios([(m, c ** (k * i)) for i, m in enumerate(moments, 1)],
-                           "the predicted moments overflow")
-
-
-def _rounded_ratios(pairs, what: str) -> list:
-    """num / den for each pair of ints, rounded once (int true division rounds
-    correctly, as float() of the Fraction does); an overflow is a
-    NumericError naming `what`."""
-    with _floats(what):
-        return [num / den for num, den in pairs]
+    return _rounded_over(_recursion(total, False), c**k, "the predicted moments overflow")
 
 
 def predicted_variation_moments(config: SimConfig, k: int, orders: int) -> list:
     """Moments of the k-th variation at time t, the limiting law: compound
     Poisson with the jumps pushed through x^k, so its free cumulants are
-    every k-th cumulant of the whole interval's law, lam t int x^(kj) d jump,
-    converted on the integers of `_step_cumulants` and divided once."""
+    every k-th cumulant of the whole interval's law, lam t int x^(kj) d jump."""
     k, orders = _integer(k, 1, "k", SimError), _integer(orders, 1, "orders", SimError)
     scaled, c = _step_cumulants(config, 1, orders * k)
-    moments = _recursion(scaled[k - 1 :: k], False)
-    return _rounded_ratios([(m, c ** (k * i)) for i, m in enumerate(moments, 1)],
-                           "the predicted moments overflow")
+    return _rounded_over(_recursion(scaled[k - 1 :: k], False), c**k,
+                         "the predicted moments overflow")
 
 
 def finite_n_power_sum_moments(config: SimConfig, k: int, orders: int) -> list:
@@ -730,10 +709,9 @@ def mixed_decay(
     if mode not in ("anticommutator", "product"):
         raise SimError(f"unknown mixed mode {mode!r}")
     ns = list(schedule or _doubling_schedule(config.N)[1:] or [config.N])
-    # _free_mixed_m2 has degree 4 in the step law: on c m1 and c^2 m2 it is c^4 times its value
-    steps = [(n, *_step_cumulants(config, n, 2)) for n in ns]
-    predicted = _rounded_ratios([(_free_mixed_m2(*_recursion(scaled, False), n, mode), c**4)
-                                 for n, scaled, c in steps], "the predicted m2 overflows")
+    steps = [(n, *_step_cumulants(config, n, 2)) for n in ns]  # m2 has degree 4 in the law
+    predicted = _rounded([Fraction(_free_mixed_m2(*_recursion(scaled, False), n, mode), c**4)
+                          for n, scaled, c in steps], "the predicted m2 overflows")
 
     def one_trial(trial):
         cols_a, marks_a = _fired(config, trial, "a")
