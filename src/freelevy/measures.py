@@ -127,10 +127,16 @@ def _read(value):
 
 def _exact(values) -> list | None:
     """values as a list of ints and Fractions, numpy integers read as ints
-    (`_read`), or None when one is anything else, a float say. The one test
-    of the exact paths."""
-    values = [_read(v) for v in values]
-    return values if all(isinstance(v, (int, Fraction)) for v in values) else None
+    (as `_read` reads them), or None when one is anything else, a float say.
+    The one test of the exact paths."""
+    out = []
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            if not isinstance(v, numbers.Integral):
+                return None
+            v = int(v)
+        out.append(v)
+    return out
 
 
 def _is_real(value) -> bool:
@@ -219,12 +225,13 @@ def _atom_power_sums(atoms, n: int) -> tuple:
 
 
 def _exact_atom_moments(atoms, n: int):
-    """sum(m * x**k) over the atoms for k = 1..n, or None unless every location
-    and mass is an int or a Fraction."""
+    """sum(m * x**k) over a measure's atoms (numpy integers already read as
+    ints) for k = 1..n, or None unless every location and mass is an int or
+    a Fraction."""
     values = _exact(v for atom in atoms for v in atom)
     if values is None:
         return None
-    sums, den, q = _atom_power_sums(list(zip(values[::2], values[1::2])), n)
+    sums, den, q = _atom_power_sums(atoms, n)
     if not any(isinstance(v, Fraction) for v in values):
         return sums
     out = []
